@@ -352,13 +352,20 @@ void BM_LanczosExtremes(benchmark::State& state) {
 }
 BENCHMARK(BM_LanczosExtremes)->Range(1 << 10, 1 << 13);
 
+// Exact all-pairs distance histogram (the batched multi-source BFS on
+// the shared pool).  items = n * 2m per call, the edge traversals of a
+// per-source BFS, so items/s stays comparable across graph sizes; wall
+// clock because the batches run on pool threads.
 void BM_DistanceDistribution(benchmark::State& state) {
   const auto g = make_graph(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(metrics::distance_distribution(g));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(g.num_nodes()) * 2 *
+                          static_cast<std::int64_t>(g.num_edges()));
 }
-BENCHMARK(BM_DistanceDistribution)->Range(1 << 8, 1 << 11);
+BENCHMARK(BM_DistanceDistribution)->Range(1 << 8, 1 << 13)->UseRealTime();
 
 // The telemetry update primitive: one relaxed fetch_add through a
 // function-local static reference, exactly what publish_rewiring_metrics

@@ -9,6 +9,11 @@
 
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
+#include "util/stop_token.hpp"
+
+namespace orbis::exec {
+class ThreadPool;
+}  // namespace orbis::exec
 
 namespace orbis::metrics {
 
@@ -33,11 +38,30 @@ struct DistanceDistribution {
   }
 };
 
-/// Exact distribution via BFS from every node: O(n (n + m)).
+/// Exact distribution by bit-parallel multi-source BFS (docs/parallel.md,
+/// "Distance kernel"): 64 sources share one machine word per node, and
+/// each BFS level is one sweep over a CSR snapshot of g.  That is
+/// O(⌈n/64⌉ · levels · (n + m)) word operations, where levels is the
+/// largest source eccentricity in a batch plus one.  Batches are sharded
+/// on exec::shared_pool(); the histogram is exact at any pool size.
 DistanceDistribution distance_distribution(const Graph& g);
 
+/// Same, polling `stop` before each 64-source batch; a requested stop
+/// throws orbis::InterruptedError.
+DistanceDistribution distance_distribution(const Graph& g,
+                                           util::StopToken stop);
+
+/// Same, sharded on `pool` instead of the shared pool (tests pin the
+/// pool size through it).  Must not be called from inside a task of
+/// `pool`: the caller blocks until the pool has run every shard.
+DistanceDistribution distance_distribution(const Graph& g,
+                                           util::StopToken stop,
+                                           exec::ThreadPool& pool);
+
 /// Estimated distribution via BFS from `num_sources` uniformly sampled
-/// sources (ordered pairs source->target); exact when num_sources >= n.
+/// sources (ordered pairs source->target), with counts and
+/// unreachable_pairs both rescaled by n / num_sources so pdf() keeps
+/// the n^2 normalization; exact when num_sources >= n.
 DistanceDistribution sampled_distance_distribution(const Graph& g,
                                                    std::size_t num_sources,
                                                    util::Rng& rng);

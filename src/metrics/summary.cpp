@@ -46,7 +46,7 @@ ScalarMetrics compute_scalar_metrics(const Graph& g,
   checkpoint();
 
   if (options.with_distance) {
-    const auto distances = distance_distribution(core);
+    const auto distances = distance_distribution(core, options.stop);
     result.mean_distance = distances.mean();
     result.distance_stddev = distances.stddev();
     checkpoint();

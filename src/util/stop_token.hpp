@@ -10,6 +10,8 @@
 //   * the optimistic parallel committer (rewiring_parallel) polls
 //     between speculation rounds;
 //   * exec::ParallelChainDriver polls before launching each chain body;
+//   * metrics::distance_distribution polls before each 64-source BFS
+//     batch;
 //   * the checkpointed run driver (gen/checkpoint.hpp) polls at leg
 //     boundaries ONLY, so an interrupted checkpointed run stops exactly
 //     at a canonical checkpoint boundary and resume stays bit-identical.
