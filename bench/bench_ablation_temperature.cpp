@@ -140,15 +140,15 @@ int main(int argc, char** argv) {
   gen::TargetingOptions targeting;
   targeting.attempts_per_edge = 200;
   gen::LadderOptions ladder;
-  ladder.replicas = 4;
   ladder.top_temperature = 1e4;
   ladder.adaptive = true;
   const std::uint64_t budget =
       targeting.attempts_per_edge * ladder_start.num_edges();
   ladder.exchange_every = std::max<std::uint64_t>(budget / 8, 1);
 
-  auto state = gen::make_2k_ladder_run(ladder_start, targeting, ladder,
-                                       ladder.exchange_every, ladder_rng);
+  auto state = gen::make_run(2, ladder_start, targeting, /*chains=*/4,
+                             ladder.exchange_every, ladder_rng);
+  gen::apply_ladder(state, targeting, ladder);
   AcceptanceTrace ladder_trace(32);
   targeting.progress = &ladder_trace;
 
@@ -175,11 +175,11 @@ int main(int argc, char** argv) {
     epochs.add_row(row);
   };
   const auto ladder_result =
-      gen::run_checkpointed_2k(state, dists.joint, targeting, checkpointing);
+      gen::run_checkpointed(state, dists, targeting, checkpointing);
   std::printf("%s\n", epochs.str().c_str());
   std::printf("final D2 (cold replica family): %.1f, C = %.4f\n",
               ladder_result.best_distance,
-              metrics::mean_clustering(ladder_result.graph));
+              metrics::mean_clustering(state.graph(ladder_result.best_chain)));
 
   // Per-replica acceptance traces from the same run: the controller
   // drives each hot rung toward its interpolated acceptance target.

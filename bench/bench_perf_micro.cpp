@@ -429,20 +429,13 @@ ConvergenceRun converge_to_eps(int d, bool laddered, double eps,
   constexpr std::size_t kChains = 4;
   constexpr std::uint64_t kEpoch = 1000;  // poll cadence for BOTH arms
   util::Rng rng(7);
-  gen::RunCheckpoint run;
+  gen::RunCheckpoint run =
+      gen::make_run(d, start, options, kChains, kEpoch, rng);
   if (laddered) {
     gen::LadderOptions ladder;
-    ladder.replicas = kChains;
     ladder.exchange_every = kEpoch;
     ladder.top_temperature = 2.0;
-    run = d == 2 ? gen::make_2k_ladder_run(start, options, ladder, kEpoch,
-                                           rng)
-                 : gen::make_3k_ladder_run(start, options, ladder, kEpoch,
-                                           rng);
-  } else {
-    const gen::MultiChainOptions chains{.chains = kChains};
-    run = d == 2 ? gen::make_2k_run(start, options, chains, kEpoch, rng)
-                 : gen::make_3k_run(start, options, chains, kEpoch, rng);
+    gen::apply_ladder(run, options, ladder);
   }
 
   gen::CheckpointOptions checkpointing;
@@ -456,10 +449,7 @@ ConvergenceRun converge_to_eps(int d, bool laddered, double eps,
   };
 
   const auto result =
-      d == 2 ? gen::run_checkpointed_2k(run, target.joint, options,
-                                        checkpointing)
-             : gen::run_checkpointed_3k(run, target.three_k, options,
-                                        checkpointing);
+      gen::run_checkpointed(run, target, options, checkpointing);
   return {result.total_stats.attempts, result.best_distance <= eps};
 }
 

@@ -14,7 +14,7 @@
 //    "trust_simple":false,"tag":"e1"}
 //   {"op":"generate","target":"prefix","out":"out.edges","d":2,
 //    "seed":1,"chains":1,"workers":1,"attempts":0,
-//    "attempts_per_edge":0,"temperature":0,"checkpoint_every":0}
+//    "attempts_per_edge":0,"temperature":0}
 //   {"op":"metrics","path":"g.edges","spectrum":true,"distance":true,
 //    "s2":true}
 //   {"op":"cancel","job":3}
@@ -142,8 +142,6 @@ JobRequest parse_submit(const wire::Object& request, const std::string& op) {
     job.attempts_per_edge = static_cast<std::size_t>(
         wire::get_int(request, "attempts_per_edge", 0));
     job.temperature = wire::get_double(request, "temperature", 0.0);
-    job.checkpoint_every = static_cast<std::uint64_t>(
-        wire::get_int(request, "checkpoint_every", 0));
   } else {  // metrics
     job.kind = JobKind::metrics;
     job.input_path = wire::require_string(request, "path");

@@ -53,11 +53,12 @@
 //
 // Fault tolerance (docs/robustness.md): targeting runs checkpoint with
 //   --checkpoint F            write a resumable checkpoint to F at every
-//                             leg boundary (atomic temp+rename writes)
-//   --checkpoint-every N      leg length in attempts (default: budget/10)
-//   --resume F                continue a checkpointed run; the final
-//                             graph is bit-identical to the
-//                             uninterrupted run's
+//                             leg boundary (atomic temp+rename writes);
+//                             legs are 50 attempts per edge, and the
+//                             output is the same bytes as without F
+//   --resume F                continue a checkpointed run (from either
+//                             stage of a d=3 run); the final graph is
+//                             bit-identical to the uninterrupted run's
 //   --stop-after-checkpoints N   test seam: request a stop after the
 //                             N-th checkpoint write (deterministic kill)
 // SIGINT/SIGTERM request a cooperative stop: the run winds down at the
@@ -67,22 +68,21 @@
 // Exit codes: 0 success; 1 unexpected error; 2 usage/parse errors;
 // 3 I/O errors; 4 resource exhaustion; 130 interrupted.
 
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdarg>
 #include <cstdio>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "core/rescale.hpp"
 #include "core/series.hpp"
 #include "gen/anneal.hpp"
-#include "gen/checkpoint.hpp"
 #include "gen/generate.hpp"
-#include "gen/matching.hpp"
+#include "gen/pipeline.hpp"
 #include "gen/rewiring.hpp"
 #include "graph/algorithms.hpp"
 #include "io/checkpoint_io.hpp"
@@ -91,7 +91,6 @@
 #include "io/dot.hpp"
 #include "io/edge_list.hpp"
 #include "metrics/summary.hpp"
-#include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -152,26 +151,6 @@ void record_config(std::string key, std::string value) {
 
 void record_output(std::string path) {
   g_report.outputs.push_back(std::move(path));
-}
-
-/// Cumulative rewire.* counters from the global registry.  Stage stats
-/// for paths that do not return a RewiringStats (gen::generate_dk_random)
-/// are the delta of this snapshot around the call — exact, because the
-/// wrappers publish at call boundaries and nothing else runs in between.
-gen::RewiringStats scrape_rewire_counters() {
-  auto& registry = obs::Registry::global();
-  gen::RewiringStats s;
-  s.attempts = registry.counter("rewire.attempts").value();
-  s.accepted = registry.counter("rewire.accepted").value();
-  s.rejected_structural =
-      registry.counter("rewire.rejected_structural").value();
-  s.rejected_constraint =
-      registry.counter("rewire.rejected_constraint").value();
-  s.rejected_objective =
-      registry.counter("rewire.rejected_objective").value();
-  s.conflict_reevaluations =
-      registry.counter("rewire.conflict_reevaluations").value();
-  return s;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -297,43 +276,47 @@ gen::Method parse_method(const std::string& name) {
   throw std::invalid_argument("unknown method: " + name);
 }
 
-/// Budget a targeting run will resolve for a start graph with `m` edges
-/// — the same rule the leg driver applies (gen/checkpoint.cpp), needed
-/// here only to pick a default checkpoint cadence before the run
-/// checkpoint exists.
-std::uint64_t budget_hint(const gen::TargetingOptions& options,
-                          std::size_t m) {
-  return options.attempts > 0 ? options.attempts
-                              : options.attempts_per_edge * m;
+/// Writes the pipeline's completed stages to the run report, one
+/// `target.2k` / `target.3k` record each.
+void record_stages(const gen::Pipeline& pipeline) {
+  for (const gen::StageResult& result : pipeline.stages()) {
+    obs::StageRecord stage;
+    stage.name = "target." + std::to_string(result.d) + "k";
+    stage.stats = result.stats;
+    stage.final_distance = result.final_distance;
+    stage.has_distance = true;
+    stage.chains = result.chains;
+    stage.best_chain = result.best_chain;
+    stage.duration_seconds = result.seconds;
+    g_report.stages.push_back(stage);
+    status("target.%dk: best chain %zu, distance %.0f, %llu accepted "
+           "swaps\n",
+           result.d, result.best_chain, result.final_distance,
+           static_cast<unsigned long long>(result.stats.accepted));
+  }
 }
 
-/// Checkpointed and/or laddered targeting run (--checkpoint / --resume /
-/// --ladder).  Fresh runs bootstrap exactly as gen::generate_dk_random's
-/// targeting path does (matching_1k, then for d=3 the 2K stage) and then
-/// hand the long targeting walk to the leg driver, writing a durable
-/// checkpoint at every boundary when a path is configured.  Resumes skip
-/// the bootstrap entirely: the checkpoint holds each chain's graph, Rng
-/// state, stats and attempt count — plus the ladder block and move kind,
+/// Targeting construction (--method targeting at d = 2, every d = 3):
+/// one gen::Pipeline — the library's — run to the end.  --checkpoint /
+/// --resume attach a sink instead: the pipeline advances one leg at a
+/// time and the checkpoint file is written after every leg, which
+/// changes nothing about the walk.  Resumes skip the bootstrap entirely:
+/// the checkpoint holds the stage, each chain's graph, Rng state, stats
+/// and attempt count — plus the ladder block, move kind and leg cadence,
 /// which are run identity and always come from the checkpoint — and
 /// resuming is bit-identical to the uninterrupted run (gen/checkpoint.hpp).
-Graph generate_checkpointed(const util::ArgParser& args,
-                            const dk::DkDistributions& target, int d,
-                            const gen::GenerateOptions& options,
-                            util::Rng& rng, bool& interrupted) {
+Graph generate_targeting(const util::ArgParser& args,
+                         const dk::DkDistributions& target, int d,
+                         const gen::TargetingOptions& targeting,
+                         const svc::RunContext& ctx, bool& interrupted) {
   const std::string checkpoint_path = args.get_string("--checkpoint", "");
   const std::string resume_path = args.get_string("--resume", "");
-  // Resume keeps writing to its own file unless redirected.  A pure
-  // --ladder run may have no save path at all: it still goes through the
-  // leg driver (exchange epochs need the leg machinery) but writes no
-  // checkpoint files.
+  // Resume keeps writing to its own file unless redirected.
   const std::string save_path =
       checkpoint_path.empty() ? resume_path : checkpoint_path;
   const std::size_t replicas = parse_count(args, "--ladder", 0);
   const std::uint64_t exchange_every =
       parse_count(args, "--exchange-every", 0);
-  if (replicas == 1) {
-    throw std::invalid_argument("--ladder needs at least 2 replicas");
-  }
   if (exchange_every > 0 && replicas == 0 && resume_path.empty()) {
     throw std::invalid_argument("--exchange-every requires --ladder");
   }
@@ -342,138 +325,84 @@ Graph generate_checkpointed(const util::ArgParser& args,
         "--ladder and --chains are mutually exclusive (the ladder size "
         "is the chain count)");
   }
-
-  if (options.method != gen::Method::targeting || (d != 2 && d != 3)) {
-    throw std::invalid_argument(
-        "--checkpoint/--resume/--ladder require --method targeting with "
-        "--d 2 or --d 3 (the long rewiring chains are what they cover)");
-  }
   if (!save_path.empty()) record_config("checkpoint", save_path);
 
-  gen::RunCheckpoint state;
+  std::optional<gen::Pipeline> pipeline;
   if (!resume_path.empty()) {
-    state = io::read_checkpoint_file(resume_path);
-    if (state.d != d) {
+    gen::RunCheckpoint state = io::read_checkpoint_file(resume_path);
+    if (state.target_d != d) {
       throw std::invalid_argument(
-          "--resume checkpoint targets d=" + std::to_string(state.d) +
+          "--resume checkpoint targets d=" + std::to_string(state.target_d) +
           " but the command line says --d " + std::to_string(d));
-    }
-    if (args.get_int("--checkpoint-every", 0) > 0) {
-      status("note: --checkpoint-every ignored on resume — the leg "
-             "cadence is part of the run and comes from the "
-             "checkpoint\n");
     }
     if (replicas >= 2 || exchange_every > 0 ||
         !args.get_string("--move", "").empty()) {
       status("note: --ladder/--exchange-every/--move ignored on resume — "
              "they are part of the run and come from the checkpoint\n");
     }
-    status("resuming %s: %llu/%llu attempts per chain, %zu chain(s)\n",
-           resume_path.c_str(),
+    status("resuming %s: %dK stage, %llu/%llu attempts per chain, %zu "
+           "chain(s)\n",
+           resume_path.c_str(), state.d,
            static_cast<unsigned long long>(state.chains[0].attempts_done),
            static_cast<unsigned long long>(state.budget),
            state.chains.size());
     record_config("resume", resume_path);
+    pipeline.emplace(target, std::move(state), targeting);
   } else {
-    Graph start = gen::matching_1k(target.degree, rng);
-    if (d == 3) {
-      // The 2K stage is the cheap prefix of the 3K pipeline; it runs
-      // un-checkpointed and the checkpoint covers the long 3K walk.
-      set_phase("2k seed");
-      const std::size_t chains =
-          gen::default_chain_count(options.chains.chains);
-      start = chains == 1
-                  ? gen::target_2k(start, target.joint, options.targeting,
-                                   rng)
-                  : gen::target_2k_multichain(
-                        start, target.joint, options.targeting,
-                        gen::MultiChainOptions{.chains = chains}, rng);
-      if (g_stop.stop_requested()) {
-        // Interrupted before the first checkpointable state existed;
-        // nothing durable to leave behind.
-        interrupted = true;
-        return Graph(0);
-      }
-    }
-    std::uint64_t every = parse_count(args, "--checkpoint-every", 0);
-    if (replicas >= 2) {
-      gen::LadderOptions ladder;
-      ladder.replicas = replicas;
-      ladder.exchange_every = exchange_every;
-      if (every == 0 && !save_path.empty()) {
-        // Default cadence before the ladder setup snaps it onto the
-        // epoch grid (gen/anneal.hpp).  With no save path there is
-        // nothing to flush, so the whole budget is one leg.
-        every = std::max<std::uint64_t>(
-            budget_hint(options.targeting, start.num_edges()) / 10, 1);
-      }
-      state = d == 2 ? gen::make_2k_ladder_run(start, options.targeting,
-                                               ladder, every, rng)
-                     : gen::make_3k_ladder_run(start, options.targeting,
-                                               ladder, every, rng);
-    } else {
-      state = d == 2 ? gen::make_2k_run(start, options.targeting,
-                                        options.chains, every, rng)
-                     : gen::make_3k_run(start, options.targeting,
-                                        options.chains, every, rng);
-      if (every == 0) {
-        // Default cadence: ten legs across the budget.  Recorded in the
-        // checkpoint, because the cadence is part of the run's identity.
-        state.checkpoint_every =
-            std::max<std::uint64_t>(state.budget / 10, 1);
-      }
-    }
+    gen::LadderOptions ladder;
+    ladder.exchange_every = exchange_every;
+    util::Rng rng = ctx.make_rng();
+    pipeline.emplace(target, d, targeting,
+                     replicas >= 2 ? replicas : ctx.chains, rng,
+                     replicas >= 2 ? &ladder : nullptr);
   }
+  const gen::RunCheckpoint& state = pipeline->checkpoint();
   record_config("chains", std::to_string(state.chains.size()));
-  record_config("checkpoint_every", std::to_string(state.checkpoint_every));
   record_config("move", gen::to_string(state.move));
   if (state.laddered()) {
     record_config("ladder", std::to_string(state.chains.size()));
     record_config("exchange_every", std::to_string(state.exchange_every));
   }
 
-  gen::CheckpointOptions checkpointing;
-  checkpointing.stop = g_stop.token();
   const std::size_t stop_after =
       parse_count(args, "--stop-after-checkpoints", 0);
-  std::size_t written = 0;
-  auto leg_start = std::chrono::steady_clock::now();
-  set_phase(d == 2 ? "2k targeting" : "3k targeting");
-  checkpointing.on_checkpoint = [&](const gen::RunCheckpoint& snapshot) {
-    if (!save_path.empty()) io::write_checkpoint_file(save_path, snapshot);
-    ++written;
-    if (g_want_report) {
-      obs::LegRecord leg;
-      leg.leg = written;
-      leg.attempts_done = snapshot.chains[0].attempts_done;
-      gen::RewiringStats total;
-      double best = static_cast<double>(snapshot.chains[0].distance);
-      for (const auto& chain : snapshot.chains) {
-        total += chain.stats;
-        best = std::min(best, static_cast<double>(chain.distance));
+  bool completed = true;
+  if (save_path.empty()) {
+    set_phase("generate " + std::to_string(d) + "k");
+    completed = pipeline->run();
+  } else {
+    std::size_t written = 0;
+    while (!pipeline->finished()) {
+      set_phase(std::to_string(state.d) + "k targeting");
+      const auto leg_start = std::chrono::steady_clock::now();
+      if (!pipeline->step()) {
+        completed = false;
+        break;
       }
-      leg.best_distance = best;
-      leg.stats = total;
-      leg.duration_seconds = seconds_since(leg_start);
-      g_report.legs.push_back(leg);
-    }
-    leg_start = std::chrono::steady_clock::now();
-    if (!save_path.empty()) {
-      status("checkpoint %zu: %llu/%llu attempts -> %s\n", written,
-             static_cast<unsigned long long>(
-                 snapshot.chains[0].attempts_done),
-             static_cast<unsigned long long>(snapshot.budget),
+      {
+        const obs::Span flush_span("checkpoint.flush");
+        io::write_checkpoint_file(save_path, state);
+      }
+      ++written;
+      if (g_want_report) {
+        obs::LegRecord leg;
+        leg.leg = written;
+        leg.attempts_done = state.chains[0].attempts_done;
+        for (const auto& chain : state.chains) leg.stats += chain.stats;
+        leg.best_distance =
+            static_cast<double>(state.chains[state.best_chain()].distance);
+        leg.duration_seconds = seconds_since(leg_start);
+        g_report.legs.push_back(leg);
+      }
+      status("checkpoint %zu: %dK stage, %llu/%llu attempts -> %s\n",
+             written, state.d,
+             static_cast<unsigned long long>(state.chains[0].attempts_done),
+             static_cast<unsigned long long>(state.budget),
              save_path.c_str());
+      if (stop_after > 0 && written >= stop_after) g_stop.request_stop();
     }
-    if (stop_after > 0 && written >= stop_after) g_stop.request_stop();
-  };
-
-  const auto stage_start = std::chrono::steady_clock::now();
-  const gen::CheckpointedResult run =
-      d == 2 ? gen::run_checkpointed_2k(state, target.joint,
-                                        options.targeting, checkpointing)
-             : gen::run_checkpointed_3k(state, target.three_k,
-                                        options.targeting, checkpointing);
+  }
+  record_stages(*pipeline);
   if (g_want_report) {
     // Label the trajectory lanes with their replica identity; laddered
     // runs also record each replica's final (possibly adapted)
@@ -487,47 +416,30 @@ Graph generate_checkpointed(const util::ArgParser& args,
       g_report.trajectory_lanes.push_back(lane);
     }
   }
-  if (run.interrupted) {
+  if (!completed) {
     if (g_signal != 0) {
       status("caught signal %d\n", static_cast<int>(g_signal));
     }
     if (save_path.empty()) {
-      status("interrupted at %llu/%llu attempts per chain; no "
-             "checkpoint configured, nothing written\n",
-             static_cast<unsigned long long>(run.attempts_done),
-             static_cast<unsigned long long>(state.budget));
+      status("interrupted in the %dK stage; no checkpoint configured, "
+             "nothing written (use --checkpoint for resumable runs)\n",
+             state.d);
     } else {
-      // `state` snapped back to the last completed boundary; re-writing
+      // The pipeline stands at the last completed boundary; re-writing
       // it is idempotent but guarantees a resume point exists even when
       // the stop landed inside the very first leg.
       io::write_checkpoint_file(save_path, state);
       record_output(save_path);
-      status("interrupted at %llu/%llu attempts per chain; resume "
-             "with: orbis_tool generate ... --resume %s\n",
-             static_cast<unsigned long long>(run.attempts_done),
-             static_cast<unsigned long long>(state.budget),
+      status("interrupted at %llu/%llu attempts per chain of the %dK "
+             "stage; resume with: orbis_tool generate ... --resume %s\n",
+             static_cast<unsigned long long>(state.chains[0].attempts_done),
+             static_cast<unsigned long long>(state.budget), state.d,
              save_path.c_str());
     }
     interrupted = true;
     return Graph(0);
   }
   if (!save_path.empty()) record_output(save_path);
-  if (g_want_report) {
-    obs::StageRecord stage;
-    stage.name = d == 2 ? "target.2k" : "target.3k";
-    stage.stats = run.total_stats;
-    stage.final_distance = run.best_distance;
-    stage.has_distance = true;
-    stage.chains = state.chains.size();
-    stage.best_chain = run.best_chain;
-    stage.duration_seconds = seconds_since(stage_start);
-    g_report.stages.push_back(stage);
-  }
-  status("targeting: best chain %zu, distance %.0f, %llu attempts "
-         "per chain, %llu accepted swaps\n",
-         run.best_chain, run.best_distance,
-         static_cast<unsigned long long>(run.attempts_done),
-         static_cast<unsigned long long>(run.total_stats.accepted));
   if (state.laddered()) {
     status("ladder: %zu replicas, epoch %llu attempts, %llu/%llu "
            "exchanges accepted\n",
@@ -536,10 +448,10 @@ Graph generate_checkpointed(const util::ArgParser& args,
            static_cast<unsigned long long>(state.exchange_accepted),
            static_cast<unsigned long long>(state.exchange_attempted));
   }
-  return run.graph;
+  return pipeline->graph();
 }
 
-int cmd_generate(const util::ArgParser& args, util::Rng& rng) {
+int cmd_generate(const util::ArgParser& args) {
   const int d = static_cast<int>(args.get_int("--d", 2));
   const std::string out = args.get_string("--out", "");
   if (out.empty()) {
@@ -650,43 +562,42 @@ int cmd_generate(const util::ArgParser& args, util::Rng& rng) {
         parse_method(args.get_string("--method", "matching"));
     if (d == 3) options.method = gen::Method::targeting;
     options.targeting.move = move;
-    // One call wires chains/workers/budget/stop/progress (the context
-    // carries them); the objective flag keeps its own parse because the
-    // backend CHOICE is algorithm configuration, not execution context.
-    options.apply(ctx);
+    // One call wires workers/budget/stop/progress (the context carries
+    // them); the objective flag keeps its own parse because the backend
+    // CHOICE is algorithm configuration, not execution context.
+    options.targeting.apply(ctx);
     apply_objective_flags(args, options.targeting);
-    record_config("method", args.get_string("--method", "matching"));
+    record_config("method", options.method == gen::Method::targeting
+                                ? "targeting"
+                                : args.get_string("--method", "matching"));
     record_config("workers", std::to_string(ctx.workers));
-    if (checkpointed || laddered) {
+    const bool targeting =
+        options.method == gen::Method::targeting && (d == 2 || d == 3);
+    if (targeting) {
       bool interrupted = false;
-      result = generate_checkpointed(args, target, d, options, rng,
-                                     interrupted);
+      result = generate_targeting(args, target, d, options.targeting, ctx,
+                                  interrupted);
       if (interrupted) return kExitInterrupted;
     } else {
-      record_config("chains", std::to_string(gen::default_chain_count(
-                                  options.chains.chains)));
-      record_config("move", gen::to_string(move));
+      if (checkpointed || laddered) {
+        throw std::invalid_argument(
+            "--checkpoint/--resume/--ladder require --method targeting "
+            "with --d 2 or --d 3 (the long rewiring chains are what they "
+            "cover)");
+      }
       set_phase("generate " + std::to_string(d) + "k");
-      // generate_dk_random does not hand stats back, but the wrappers it
-      // calls publish theirs to the registry at call boundaries — the
-      // counter delta around the call is this stage's exact count.
-      const gen::RewiringStats before = scrape_rewire_counters();
       const auto stage_start = std::chrono::steady_clock::now();
       result = gen::generate_dk_random(target, d, options, ctx);
       if (g_want_report) {
         obs::StageRecord stage;
         stage.name = "generate." + std::to_string(d) + "k";
-        stage.stats = scrape_rewire_counters().delta_since(before);
-        stage.chains = options.method == gen::Method::targeting
-                           ? gen::default_chain_count(options.chains.chains)
-                           : 1;
         stage.duration_seconds = seconds_since(stage_start);
         g_report.stages.push_back(stage);
       }
       if (g_stop.stop_requested()) {
         std::fprintf(stderr,
                      "generate: interrupted before completion; no output "
-                     "written (use --checkpoint for resumable runs)\n");
+                     "written\n");
         return kExitInterrupted;
       }
     }
@@ -756,7 +667,7 @@ int dispatch(const std::string& command, const util::ArgParser& args,
              util::Rng& rng) {
   if (command == "analyze") return cmd_analyze(args);
   if (command == "extract") return cmd_extract(args);
-  if (command == "generate") return cmd_generate(args, rng);
+  if (command == "generate") return cmd_generate(args);
   if (command == "rescale") return cmd_rescale(args, rng);
   if (command == "compare") return cmd_compare(args);
   return usage();
@@ -774,7 +685,7 @@ int main(int argc, char** argv) {
       {"--seed", "--buffer-kb", "--d", "--out", "--like", "--from-1k",
        "--from-2k", "--from-3k", "--method", "--chains", "--workers",
        "--objective", "--memory-budget-mb", "--dot", "--nodes",
-       "--checkpoint", "--checkpoint-every", "--resume",
+       "--checkpoint", "--resume",
        "--stop-after-checkpoints", "--report", "--trace", "--move",
        "--ladder", "--exchange-every"});
   if (args.positional().empty()) return usage();

@@ -84,7 +84,7 @@ void run_ladder_epoch_pass(
                            static_cast<double>(hot.distance), rng)) {
         // Only the configurations move: temperatures, Rng streams and
         // stats stay with their slots.
-        std::swap(cold.graph, hot.graph);
+        std::swap(cold.edges, hot.edges);
         std::swap(cold.distance, hot.distance);
         ++state.exchange_accepted;
       }
@@ -104,9 +104,6 @@ void run_ladder_epoch_pass(
   }
 }
 
-namespace {
-
-/// Shared ladder setup on top of a freshly made run checkpoint.
 void apply_ladder(RunCheckpoint& state, const TargetingOptions& options,
                   const LadderOptions& ladder) {
   state.exchange_every = ladder.exchange_every > 0
@@ -134,70 +131,6 @@ void apply_ladder(RunCheckpoint& state, const TargetingOptions& options,
   state.exchange_rng = util::Rng::from_state_words(state.chains[0].rng_state)
                            .stream(kExchangeStreamId)
                            .state_words();
-}
-
-}  // namespace
-
-RunCheckpoint make_2k_ladder_run(const Graph& start,
-                                 const TargetingOptions& options,
-                                 const LadderOptions& ladder,
-                                 std::uint64_t checkpoint_every,
-                                 util::Rng& rng) {
-  const MultiChainOptions chains{.chains = ladder.replicas};
-  RunCheckpoint state =
-      make_2k_run(start, options, chains, checkpoint_every, rng);
-  apply_ladder(state, options, ladder);
-  return state;
-}
-
-RunCheckpoint make_3k_ladder_run(const Graph& start,
-                                 const TargetingOptions& options,
-                                 const LadderOptions& ladder,
-                                 std::uint64_t checkpoint_every,
-                                 util::Rng& rng) {
-  const MultiChainOptions chains{.chains = ladder.replicas};
-  RunCheckpoint state =
-      make_3k_run(start, options, chains, checkpoint_every, rng);
-  apply_ladder(state, options, ladder);
-  return state;
-}
-
-namespace {
-
-Graph finish_ladder(CheckpointedResult result, MultiChainResult* out) {
-  if (out != nullptr) {
-    out->best_chain = result.best_chain;
-    out->best_distance = result.best_distance;
-    out->total_stats = result.total_stats;
-  }
-  return std::move(result.graph);
-}
-
-}  // namespace
-
-Graph target_2k_ladder(const Graph& start,
-                       const dk::JointDegreeDistribution& target,
-                       const TargetingOptions& options,
-                       const LadderOptions& ladder, util::Rng& rng,
-                       MultiChainResult* result) {
-  RunCheckpoint state = make_2k_ladder_run(start, options, ladder,
-                                           /*checkpoint_every=*/0, rng);
-  CheckpointOptions checkpointing;
-  checkpointing.stop = options.stop;
-  return finish_ladder(
-      run_checkpointed_2k(state, target, options, checkpointing), result);
-}
-
-Graph target_3k_ladder(const Graph& start, const dk::ThreeKProfile& target,
-                       const TargetingOptions& options,
-                       const LadderOptions& ladder, util::Rng& rng,
-                       MultiChainResult* result) {
-  RunCheckpoint state = make_3k_ladder_run(start, options, ladder,
-                                           /*checkpoint_every=*/0, rng);
-  CheckpointOptions checkpointing;
-  checkpointing.stop = options.stop;
-  return finish_ladder(
-      run_checkpointed_3k(state, target, options, checkpointing), result);
 }
 
 }  // namespace orbis::gen

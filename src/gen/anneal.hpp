@@ -1,9 +1,9 @@
 // Replica exchange (parallel tempering) for the targeting chains
 // (docs/annealing.md).
 //
-// The checkpointed multichain drivers (gen/checkpoint.hpp) run K chains
-// in lockstep legs.  A LADDERED run gives each chain — now a replica —
-// its own Metropolis temperature, replica 0 coldest, and at every
+// The leg driver (gen/checkpoint.hpp) runs K chains in legs.  A
+// LADDERED run gives each chain — now a replica — its own Metropolis
+// temperature, replica 0 coldest, and at every
 // exchange EPOCH (a fixed number of attempts, part of run identity like
 // the seed) pauses to let adjacent replicas propose configuration
 // swaps under the standard Metropolis exchange rule:
@@ -24,9 +24,9 @@
 // Determinism: exchange decisions come from a DEDICATED Rng stream
 // (kExchangeStreamId) serialized in the RunCheckpoint and advanced only
 // by exchange passes; replica streams are derived exactly as in any
-// multichain run.  The final graph is therefore a pure function of
-// (seed, ladder, move mix, exchange epoch) — bit-identical at any
-// worker or pool count, and across checkpoint kill/resume.
+// other run of the leg driver.  The final graph is therefore a pure
+// function of (seed, ladder, move mix, exchange epoch) — bit-identical
+// at any worker or pool count, and across checkpoint kill/resume.
 #pragma once
 
 #include <cstdint>
@@ -43,10 +43,10 @@ namespace orbis::gen {
 /// streams use ids 0..K-1, so this huge constant cannot collide.
 inline constexpr std::uint64_t kExchangeStreamId = 0x616e6e65616cULL;
 
+/// The ladder's replicas are the run's chains (make_run's chain count,
+/// gen::Pipeline's `chains`).  A ladder of 1 degenerates to a plain
+/// single-chain run.
 struct LadderOptions {
-  /// Replicas in the ladder; 0 = default_chain_count().  A ladder of 1
-  /// degenerates to a plain single-chain checkpointed run.
-  std::size_t replicas = 0;
   /// Attempts per exchange epoch; 0 = budget / 16 (at least 1).  Part
   /// of run identity: the same seed with a different epoch walks
   /// different chains.
@@ -96,36 +96,12 @@ double adapt_temperature(double temperature, std::uint64_t attempts,
 void run_ladder_epoch_pass(RunCheckpoint& state, std::uint64_t epoch_index,
                            const std::vector<RewiringStats>& epoch_start_stats);
 
-/// Builds the leg-0 RunCheckpoint for a laddered 2K targeting run: a
-/// make_2k_run checkpoint plus the ladder fields — per-replica initial
-/// temperatures, the exchange epoch (checkpoint_every is rounded UP to
-/// a multiple of it so every checkpoint boundary is an epoch boundary)
-/// and the exchange Rng stream.
-RunCheckpoint make_2k_ladder_run(const Graph& start,
-                                 const TargetingOptions& options,
-                                 const LadderOptions& ladder,
-                                 std::uint64_t checkpoint_every,
-                                 util::Rng& rng);
-
-/// Same for a laddered 3K targeting run.
-RunCheckpoint make_3k_ladder_run(const Graph& start,
-                                 const TargetingOptions& options,
-                                 const LadderOptions& ladder,
-                                 std::uint64_t checkpoint_every,
-                                 util::Rng& rng);
-
-/// Convenience wrappers: make + run to completion with no on_checkpoint
-/// sink (options.stop still applies).  Returns the best replica's graph
-/// and fills `result` like the multichain drivers.
-Graph target_2k_ladder(const Graph& start,
-                       const dk::JointDegreeDistribution& target,
-                       const TargetingOptions& options,
-                       const LadderOptions& ladder, util::Rng& rng,
-                       MultiChainResult* result = nullptr);
-
-Graph target_3k_ladder(const Graph& start, const dk::ThreeKProfile& target,
-                       const TargetingOptions& options,
-                       const LadderOptions& ladder, util::Rng& rng,
-                       MultiChainResult* result = nullptr);
+/// Turns a freshly made RunCheckpoint (make_run) into a laddered one:
+/// per-replica initial temperatures, the exchange epoch
+/// (checkpoint_every is rounded UP to a multiple of it so every
+/// checkpoint boundary is an epoch boundary) and the exchange Rng
+/// stream.
+void apply_ladder(RunCheckpoint& state, const TargetingOptions& options,
+                  const LadderOptions& ladder);
 
 }  // namespace orbis::gen

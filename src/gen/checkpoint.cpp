@@ -19,49 +19,18 @@ std::size_t budget_of(const TargetingOptions& options, std::size_t m) {
                               : options.attempts_per_edge * m;
 }
 
-/// Distinct degree values of g — the class count the dense-vs-sparse
-/// heuristic prices.  (EdgeIndex computes the same thing; this avoids
-/// building a full index just to pin the backend.)
-std::uint32_t distinct_degree_count(const Graph& g) {
-  std::vector<std::uint8_t> seen(g.max_degree() + 1, 0);
-  std::uint32_t classes = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    std::uint8_t& flag = seen[g.degree(v)];
-    if (flag == 0) {
-      flag = 1;
-      ++classes;
-    }
+/// Distinct degree values of the graph (n, edges) — the class count the
+/// dense-vs-sparse heuristic prices.  (EdgeIndex computes the same
+/// thing; this avoids building a full index just to pin the backend.)
+std::uint32_t distinct_degree_count(NodeId n, const std::vector<Edge>& edges) {
+  std::vector<std::uint32_t> degree(n, 0);
+  for (const auto& [u, v] : edges) {
+    ++degree[u];
+    ++degree[v];
   }
-  return classes;
-}
-
-RunCheckpoint make_run(int d, const Graph& start,
-                       const TargetingOptions& options,
-                       const MultiChainOptions& chain_options,
-                       std::uint64_t checkpoint_every, util::Rng& rng) {
-  RunCheckpoint state;
-  state.d = d;
-  state.budget = budget_of(options, start.num_edges());
-  state.checkpoint_every = checkpoint_every;
-  state.move = options.move;  // pinned: the move stream is run identity
-  state.backend =
-      d == 2 ? resolve_objective_backend(options.objective,
-                                         distinct_degree_count(start),
-                                         options.memory_budget_mb)
-             : options.objective;
-
-  // Seeding mirrors ParallelChainDriver::run exactly: one draw from the
-  // caller's Rng forms the master, chain i gets master.stream(i).  A
-  // checkpointed run with the same seed therefore derives the same
-  // chain streams as the non-checkpointed multichain driver.
-  const std::size_t chains = default_chain_count(chain_options.chains);
-  const util::Rng master(rng.next());
-  state.chains.resize(chains);
-  for (std::size_t chain = 0; chain < chains; ++chain) {
-    state.chains[chain].rng_state = master.stream(chain).state_words();
-    state.chains[chain].graph = start;
-  }
-  return state;
+  std::sort(degree.begin(), degree.end());
+  return static_cast<std::uint32_t>(
+      std::unique(degree.begin(), degree.end()) - degree.begin());
 }
 
 /// Cumulative stats over all chains — the between-leg snapshot the
@@ -72,21 +41,140 @@ RewiringStats sum_chain_stats(const RunCheckpoint& state) {
   return total;
 }
 
-/// The leg loop shared by the 2K and 3K drivers.
-/// `run_leg(chain, leg, chain_index)` advances one chain by `leg`
-/// attempts from its canonical state and re-canonicalizes it;
-/// `chain_index` is forwarded so leg bodies can tag progress lanes.
-///
-/// Laddered runs (state.exchange_every > 0) cut the legs on the UNION
-/// of the checkpoint grid and the exchange-epoch grid; since the
-/// checkpoint cadence is a multiple of the epoch, every pause point is
-/// an epoch boundary.  Between epochs the (serial) exchange + adaptive
-/// pass runs — see gen/anneal.hpp — and on_checkpoint still fires only
-/// at checkpoint boundaries.
-template <typename RunLeg>
-CheckpointedResult run_legs(RunCheckpoint& state,
-                            const CheckpointOptions& checkpointing,
-                            double stop_distance, RunLeg run_leg) {
+/// Attempts from `done` to the next pause point: the checkpoint grid,
+/// cut further by the exchange-epoch grid on laddered runs (the
+/// checkpoint cadence is a multiple of the epoch, so every pause point
+/// is an epoch boundary).
+std::uint64_t next_leg(const RunCheckpoint& state, std::uint64_t done) {
+  const std::uint64_t every =
+      state.checkpoint_every > 0 ? state.checkpoint_every : state.budget;
+  std::uint64_t leg = std::min(every - done % every, state.budget - done);
+  if (state.exchange_every > 0) {
+    leg = std::min(leg, state.exchange_every - done % state.exchange_every);
+  }
+  return leg;
+}
+
+/// Advances one chain by `leg` attempts from its canonical state and
+/// re-canonicalizes it.  The engine is rebuilt from the edge list — the
+/// same rebuild a resume performs, which is the whole determinism
+/// argument.
+class LegRunner {
+ public:
+  LegRunner(const RunCheckpoint& state, const dk::DkDistributions& target,
+            const TargetingOptions& options, util::StopToken stop,
+            exec::ThreadPool& pool)
+      : state_(state), target_(target), options_(options), pool_(pool) {
+    options_.objective = state.backend;  // pinned at run start
+    options_.move = state.move;          // pinned: part of run identity
+    options_.stop = stop;                // mid-leg bail; leg is discarded
+    // One chain alone may farm its 3K proposals out to the pool; several
+    // chains already occupy it and stay serial.
+    if (state.chains.size() > 1) options_.workers = 1;
+  }
+
+  void operator()(ChainCheckpoint& chain, std::uint64_t leg,
+                  std::size_t chain_index) const {
+    util::Rng rng = util::Rng::from_state_words(chain.rng_state);
+    TargetingOptions chain_options = options_;
+    chain_options.progress_lane = static_cast<std::uint32_t>(chain_index);
+    // Replicas run at their OWN ladder temperature (run state, moved by
+    // the controller); independent chains keep the caller's.
+    if (state_.laddered()) chain_options.temperature = chain.temperature;
+    if (state_.d == 2) {
+      RewiringEngine engine(state_.nodes, std::move(chain.edges));
+      chain.distance = engine.target_2k(target_.joint, chain_options, leg,
+                                        rng, &chain.stats);
+      chain.edges = engine.index().edges();
+    } else {
+      ThreeKRewirer rewirer(state_.nodes, std::move(chain.edges));
+      chain.distance = rewirer.target_with_workers(
+          target_.three_k, chain_options, leg, rng, pool_, &chain.stats);
+      chain.edges = rewirer.index().edges();
+    }
+    chain.rng_state = rng.state_words();
+  }
+
+ private:
+  const RunCheckpoint& state_;
+  const dk::DkDistributions& target_;
+  TargetingOptions options_;
+  exec::ThreadPool& pool_;
+};
+
+/// Advances every chain leg by leg up to `until` attempts, each chain in
+/// its own pool task.  A stop ends a chain at its last boundary: the leg
+/// it cut short is discarded.  A converged chain idles through its
+/// remaining legs without touching its Rng.
+void run_chains(RunCheckpoint& state, std::uint64_t until,
+                const LegRunner& run_leg, util::StopToken stop,
+                double stop_distance, exec::ThreadPool& pool) {
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(state.chains.size());
+  for (std::size_t i = 0; i < state.chains.size(); ++i) {
+    tasks.emplace_back([&state, &run_leg, until, stop, stop_distance, i]() {
+      ChainCheckpoint& chain = state.chains[i];
+      while (chain.attempts_done < until && !stop.stop_requested()) {
+        const std::uint64_t leg = next_leg(state, chain.attempts_done);
+        if (static_cast<double>(chain.distance) > stop_distance) {
+          ChainCheckpoint boundary;
+          if (stop.stop_possible()) boundary = chain;
+          run_leg(chain, leg, i);
+          if (stop.stop_requested()) {
+            chain = std::move(boundary);
+            return;
+          }
+        }
+        chain.attempts_done += leg;
+      }
+    });
+  }
+  pool.run_tasks(tasks);
+}
+
+}  // namespace
+
+RunCheckpoint make_run(int d, NodeId n, const std::vector<Edge>& start,
+                       const TargetingOptions& options, std::size_t chains,
+                       std::uint64_t checkpoint_every,
+                       const util::Rng& master) {
+  util::expects(d == 2 || d == 3, "make_run: d must be 2 or 3");
+  RunCheckpoint state;
+  state.d = d;
+  state.target_d = d;
+  state.nodes = n;
+  state.budget = budget_of(options, start.size());
+  state.checkpoint_every = checkpoint_every;
+  state.move = options.move;  // pinned: the move stream is run identity
+  state.backend = d == 2 ? resolve_objective_backend(
+                               options.objective,
+                               distinct_degree_count(n, start),
+                               options.memory_budget_mb)
+                         : options.objective;
+  // Chain i gets master.stream(i): a pure function of (master, i),
+  // independent of scheduling and of how many chains run concurrently.
+  state.chains.resize(default_chain_count(chains));
+  for (std::size_t chain = 0; chain < state.chains.size(); ++chain) {
+    state.chains[chain].rng_state = master.stream(chain).state_words();
+    state.chains[chain].edges = start;
+  }
+  return state;
+}
+
+RunCheckpoint make_run(int d, const Graph& start,
+                       const TargetingOptions& options, std::size_t chains,
+                       std::uint64_t checkpoint_every, util::Rng& rng) {
+  const util::Rng master(rng.next());
+  return make_run(d, start.num_nodes(), start.edges(), options, chains,
+                  checkpoint_every, master);
+}
+
+CheckpointedResult run_checkpointed(RunCheckpoint& state,
+                                    const dk::DkDistributions& target,
+                                    const TargetingOptions& options,
+                                    const CheckpointOptions& checkpointing) {
+  util::expects(state.d == 2 || state.d == 3,
+                "run_checkpointed: stage must be 2 or 3");
   util::expects(!state.chains.empty(),
                 "run_checkpointed: checkpoint has no chains");
   for (const auto& chain : state.chains) {
@@ -108,12 +196,11 @@ CheckpointedResult run_legs(RunCheckpoint& state,
       obs::Registry::global().counter("anneal.exchange_accepts");
 
   CheckpointedResult result;
-  const std::uint64_t every =
-      state.checkpoint_every > 0 ? state.checkpoint_every : state.budget;
-  const std::uint64_t epoch = state.exchange_every;
+  const util::StopToken stop = checkpointing.stop;
   exec::ThreadPool& pool = checkpointing.pool != nullptr
                                ? *checkpointing.pool
                                : exec::shared_pool();
+  const LegRunner run_leg(state, target, options, stop, pool);
 
   // Metrics publish per-leg DELTAS against these baselines, so a
   // resumed run never re-counts work a previous process already ran.
@@ -121,59 +208,54 @@ CheckpointedResult run_legs(RunCheckpoint& state,
   std::uint64_t published_attempted = state.exchange_attempted;
   std::uint64_t published_accepted = state.exchange_accepted;
 
+  // No barrier unless something needs one: each chain then runs all its
+  // legs inside one pool task.
+  const bool barrier = checkpointing.on_checkpoint ||
+                       checkpointing.max_legs > 0 || state.laddered();
+  if (!barrier) {
+    run_chains(state, state.budget, run_leg, stop, options.stop_distance,
+               pool);
+    publish_rewiring_metrics(sum_chain_stats(state).delta_since(published));
+    result.interrupted = !state.finished();
+  }
+
   // Per-chain stats at the current epoch's start: the adaptive
   // controller reads each replica's acceptance rate over exactly one
   // epoch.  Never serialized — every pause point is an epoch boundary,
   // so a resume re-captures it before the next epoch runs.
   std::vector<RewiringStats> epoch_start;
-
-  while (state.chains[0].attempts_done < state.budget) {
-    if (checkpointing.stop.stop_requested()) {
+  const std::uint64_t epoch = state.exchange_every;
+  const std::uint64_t every =
+      state.checkpoint_every > 0 ? state.checkpoint_every : state.budget;
+  std::uint64_t boundaries = 0;
+  while (barrier && state.chains[0].attempts_done < state.budget) {
+    if (checkpointing.max_legs > 0 && boundaries >= checkpointing.max_legs) {
+      break;
+    }
+    if (stop.stop_requested()) {
       result.interrupted = true;
       break;
     }
     const std::uint64_t done = state.chains[0].attempts_done;
-    std::uint64_t leg = std::min<std::uint64_t>(
-        every > 0 ? every - done % every : 1, state.budget - done);
     if (epoch > 0) {
-      leg = std::min(leg, epoch - done % epoch);
       epoch_start.resize(state.chains.size());
       for (std::size_t i = 0; i < state.chains.size(); ++i) {
         epoch_start[i] = state.chains[i].stats;
       }
     }
 
-    // Mid-leg interrupts discard the leg: keep the boundary state so a
-    // stop observed below can snap back to it.  Without a stop token no
-    // interrupt can happen, so skip the copies.
+    // A stop discards the whole leg, so every chain snaps back to the
+    // same boundary.  Without a stop token no interrupt can happen, so
+    // skip the copies.
     std::vector<ChainCheckpoint> boundary;
-    if (checkpointing.stop.stop_possible()) boundary = state.chains;
-
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(state.chains.size());
-    for (std::size_t i = 0; i < state.chains.size(); ++i) {
-      ChainCheckpoint& chain = state.chains[i];
-      tasks.emplace_back([&chain, &run_leg, leg, stop_distance, i]() {
-        // A converged chain idles through remaining legs: target_* would
-        // return immediately without touching the Rng, so skip the
-        // rebuild entirely.  attempts_done still advances — leg cadence
-        // is uniform across chains by construction.
-        if (static_cast<double>(chain.distance) > stop_distance) {
-          run_leg(chain, leg, i);
-        }
-        chain.attempts_done += leg;
-      });
-    }
+    if (stop.stop_possible()) boundary = state.chains;
     {
       const obs::Span leg_span("checkpoint.leg");
-      pool.run_tasks(tasks);
+      run_chains(state, done + next_leg(state, done), run_leg, stop,
+                 options.stop_distance, pool);
     }
-
-    if (checkpointing.stop.stop_requested()) {
-      // The leg bodies bailed early (or ran to completion — either way
-      // the cadence is broken): revert to the boundary, report
-      // interrupted.  The caller's last on_checkpoint write is still the
-      // truth on disk.
+    if (stop.stop_requested()) {
+      // The caller's last on_checkpoint write is still the truth on disk.
       if (!boundary.empty()) state.chains = std::move(boundary);
       result.interrupted = true;
       break;
@@ -186,6 +268,7 @@ CheckpointedResult run_legs(RunCheckpoint& state,
       run_ladder_epoch_pass(state, now_done / epoch - 1, epoch_start);
     }
     if (now_done % every == 0 || now_done >= state.budget) {
+      ++boundaries;
       const RewiringStats now = sum_chain_stats(state);
       publish_rewiring_metrics(now.delta_since(published));
       published = now;
@@ -204,92 +287,12 @@ CheckpointedResult run_legs(RunCheckpoint& state,
     }
   }
 
-  // Best chain: lowest distance, ties to the lowest id — same rule as
-  // run_multichain, so the winner is scheduling-independent.
-  std::size_t best = 0;
-  for (std::size_t chain = 1; chain < state.chains.size(); ++chain) {
-    if (state.chains[chain].distance < state.chains[best].distance) {
-      best = chain;
-    }
-  }
-  result.best_chain = best;
-  result.best_distance = static_cast<double>(state.chains[best].distance);
-  result.graph = state.chains[best].graph;
+  result.best_chain = state.best_chain();
+  result.best_distance =
+      static_cast<double>(state.chains[result.best_chain].distance);
   result.attempts_done = state.chains[0].attempts_done;
   result.total_stats = sum_chain_stats(state);
   return result;
-}
-
-}  // namespace
-
-RunCheckpoint make_2k_run(const Graph& start, const TargetingOptions& options,
-                          const MultiChainOptions& chains,
-                          std::uint64_t checkpoint_every, util::Rng& rng) {
-  return make_run(2, start, options, chains, checkpoint_every, rng);
-}
-
-RunCheckpoint make_3k_run(const Graph& start, const TargetingOptions& options,
-                          const MultiChainOptions& chains,
-                          std::uint64_t checkpoint_every, util::Rng& rng) {
-  return make_run(3, start, options, chains, checkpoint_every, rng);
-}
-
-CheckpointedResult run_checkpointed_2k(
-    RunCheckpoint& state, const dk::JointDegreeDistribution& target,
-    const TargetingOptions& options, const CheckpointOptions& checkpointing) {
-  util::expects(state.d == 2, "run_checkpointed_2k: checkpoint is not a "
-                              "2K run");
-  TargetingOptions leg_options = options;
-  leg_options.objective = state.backend;  // pinned at run start
-  leg_options.move = state.move;          // pinned: part of run identity
-  leg_options.stop = checkpointing.stop;  // mid-leg bail; leg is discarded
-  const bool laddered = state.laddered();
-  return run_legs(
-      state, checkpointing, options.stop_distance,
-      [&, laddered](ChainCheckpoint& chain, std::uint64_t leg,
-                    std::size_t chain_index) {
-        util::Rng rng = util::Rng::from_state_words(chain.rng_state);
-        // Rebuild from the canonical edge list — the same rebuild a
-        // resume performs, which is the whole determinism argument.
-        RewiringEngine engine(chain.graph);
-        TargetingOptions chain_options = leg_options;
-        chain_options.progress_lane = static_cast<std::uint32_t>(chain_index);
-        // Replicas run at their OWN ladder temperature (run state, moved
-        // by the controller); independent chains keep the caller's.
-        if (laddered) chain_options.temperature = chain.temperature;
-        chain.distance = engine.target_2k(target, chain_options, leg, rng,
-                                          &chain.stats);
-        chain.graph = engine.graph();
-        chain.rng_state = rng.state_words();
-      });
-}
-
-CheckpointedResult run_checkpointed_3k(RunCheckpoint& state,
-                                       const dk::ThreeKProfile& target,
-                                       const TargetingOptions& options,
-                                       const CheckpointOptions& checkpointing) {
-  util::expects(state.d == 3, "run_checkpointed_3k: checkpoint is not a "
-                              "3K run");
-  TargetingOptions leg_options = options;
-  // Chains already occupy the pool; the leg bodies must stay serial.
-  leg_options.workers = 1;
-  leg_options.move = state.move;  // pinned: part of run identity
-  leg_options.stop = checkpointing.stop;
-  const bool laddered = state.laddered();
-  return run_legs(
-      state, checkpointing, options.stop_distance,
-      [&, laddered](ChainCheckpoint& chain, std::uint64_t leg,
-                    std::size_t chain_index) {
-        util::Rng rng = util::Rng::from_state_words(chain.rng_state);
-        ThreeKRewirer rewirer(chain.graph);
-        TargetingOptions chain_options = leg_options;
-        chain_options.progress_lane = static_cast<std::uint32_t>(chain_index);
-        if (laddered) chain_options.temperature = chain.temperature;
-        chain.distance =
-            rewirer.target(target, chain_options, leg, rng, &chain.stats);
-        chain.graph = rewirer.graph();
-        chain.rng_state = rng.state_words();
-      });
 }
 
 }  // namespace orbis::gen

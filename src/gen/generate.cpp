@@ -1,10 +1,10 @@
 #include "gen/generate.hpp"
 
-#include <cmath>
+#include <stdexcept>
 
 #include "gen/errors.hpp"
 #include "gen/matching.hpp"
-#include "obs/trace.hpp"
+#include "gen/pipeline.hpp"
 #include "gen/pseudograph.hpp"
 #include "gen/stochastic.hpp"
 #include "graph/builders.hpp"
@@ -14,33 +14,15 @@ namespace orbis::gen {
 
 namespace {
 
-/// Targeting stages honor the chain autotune: 0 resolves to one chain
-/// per core (default_chain_count).  A resolved count of 1 bypasses the
-/// multichain driver entirely — bit-compatible with the pre-driver
-/// single-chain path, and the only configuration where the intra-chain
-/// speculation workers of TargetingOptions may engage (multichain
-/// chains already occupy the shared pool).
-Graph run_target_2k(const Graph& start,
-                    const dk::JointDegreeDistribution& target,
-                    const GenerateOptions& options, util::Rng& rng) {
-  const obs::Span span("generate.target_2k");
-  const std::size_t chains = default_chain_count(options.chains.chains);
-  if (chains == 1) {
-    return target_2k(start, target, options.targeting, rng);
-  }
-  return target_2k_multichain(start, target, options.targeting,
-                              MultiChainOptions{.chains = chains}, rng);
-}
-
-Graph run_target_3k(const Graph& start, const dk::ThreeKProfile& target,
-                    const GenerateOptions& options, util::Rng& rng) {
-  const obs::Span span("generate.target_3k");
-  const std::size_t chains = default_chain_count(options.chains.chains);
-  if (chains == 1) {
-    return target_3k(start, target, options.targeting, rng);
-  }
-  return target_3k_multichain(start, target, options.targeting,
-                              MultiChainOptions{.chains = chains}, rng);
+/// Method::targeting at d = 2 and every d = 3 call: the §5.1 pipeline,
+/// run to the end.  On a stop it hands back the best graph at the last
+/// leg boundaries.
+Graph run_pipeline(const dk::DkDistributions& target, int d,
+                   const TargetingOptions& options, std::size_t chains,
+                   util::Rng& rng) {
+  Pipeline pipeline(target, d, options, chains, rng);
+  pipeline.run();
+  return pipeline.graph();
 }
 
 Graph generate_0k(const dk::DkDistributions& target, Method method,
@@ -67,77 +49,53 @@ Graph generate_1k(const dk::DkDistributions& target, Method method,
   throw std::invalid_argument("generate_1k: unknown method");
 }
 
-Graph generate_2k(const dk::DkDistributions& target,
-                  const GenerateOptions& options, util::Rng& rng) {
-  switch (options.method) {
+/// The non-targeting 2K constructions (targeting runs the pipeline).
+Graph generate_2k(const dk::DkDistributions& target, Method method,
+                  util::Rng& rng) {
+  switch (method) {
     case Method::stochastic:
       return stochastic_2k(target.joint, rng);
     case Method::pseudograph:
       return pseudograph_2k(target.joint, rng).to_simple();
-    case Method::matching:
+    default:
       return matching_2k(target.joint, rng);
-    case Method::targeting: {
-      // Bootstrap with an exact 1K graph, then walk to the target JDD.
-      // Prefer the explicit 1K (it still knows about degree-0 nodes,
-      // which the JDD projection cannot see).
-      const auto& one_k = target.degree.num_nodes() > 0
-                              ? target.degree
-                              : target.joint.project_to_1k();
-      Graph start;
-      {
-        const obs::Span seed_span("generate.seed_1k");
-        start = matching_1k(one_k, rng);
-      }
-      return run_target_2k(start, target.joint, options, rng);
-    }
   }
-  throw std::invalid_argument("generate_2k: unknown method");
 }
 
-Graph generate_3k(const dk::DkDistributions& target,
-                  const GenerateOptions& options, util::Rng& rng) {
-  if (options.method != Method::targeting) {
-    throw std::invalid_argument(
-        "generate_3k: only Method::targeting can construct 3K-random "
-        "graphs from distributions (paper §4.1.2: pseudograph/matching do "
-        "not generalize beyond d = 2)");
-  }
-  // Paper §5.1 pipeline: 1K bootstrap -> 2K-random -> 3K-random, with
-  // each targeting stage running the multi-chain annealing driver.
-  const auto& one_k_dist = target.degree.num_nodes() > 0
-                               ? target.degree
-                               : target.joint.project_to_1k();
-  Graph one_k;
-  {
-    const obs::Span seed_span("generate.seed_1k");
-    one_k = matching_1k(one_k_dist, rng);
-  }
-  const Graph two_k = run_target_2k(one_k, target.joint, options, rng);
-  return run_target_3k(two_k, target.three_k, options, rng);
-}
-
-}  // namespace
-
-Graph generate_dk_random(const dk::DkDistributions& target, int d,
-                         const GenerateOptions& options, util::Rng& rng) {
+Graph generate(const dk::DkDistributions& target, int d,
+               const GenerateOptions& options, std::size_t chains,
+               util::Rng& rng) {
   util::expects(d >= 0 && d <= 3, "generate_dk_random: d must be in [0,3]");
+  if (d >= 2 && options.method == Method::targeting) {
+    return run_pipeline(target, d, options.targeting, chains, rng);
+  }
   switch (d) {
     case 0:
       return generate_0k(target, options.method, rng);
     case 1:
       return generate_1k(target, options.method, rng);
     case 2:
-      return generate_2k(target, options, rng);
+      return generate_2k(target, options.method, rng);
     default:
-      return generate_3k(target, options, rng);
+      throw std::invalid_argument(
+          "generate_3k: only Method::targeting can construct 3K-random "
+          "graphs from distributions (paper §4.1.2: pseudograph/matching "
+          "do not generalize beyond d = 2)");
   }
+}
+
+}  // namespace
+
+Graph generate_dk_random(const dk::DkDistributions& target, int d,
+                         const GenerateOptions& options, util::Rng& rng) {
+  return generate(target, d, options, /*chains=*/0, rng);
 }
 
 Graph generate_dk_random(const dk::DkDistributions& target, int d,
                          GenerateOptions options, const svc::RunContext& ctx) {
-  options.apply(ctx);
+  options.targeting.apply(ctx);
   util::Rng rng = ctx.make_rng();
-  return generate_dk_random(target, d, options, rng);
+  return generate(target, d, options, ctx.chains, rng);
 }
 
 Graph dk_random_like(const Graph& original, int d, util::Rng& rng) {

@@ -6,7 +6,8 @@
 //   d=2: stochastic / pseudograph / matching / targeting,
 //   d=3: targeting pipeline — matching_1k bootstrap, then 2K-targeting
 //        1K-preserving rewiring, then 3K-targeting 2K-preserving rewiring
-//        (the paper bootstraps identically, §5.1).
+//        (the paper bootstraps identically, §5.1); gen::Pipeline
+//        (gen/pipeline.hpp) runs it for every front end.
 //
 // When an original graph is available, prefer gen::randomize (§4.1.4),
 // which the paper found the easiest to use.
@@ -28,32 +29,13 @@ enum class Method {
 
 struct GenerateOptions {
   Method method = Method::matching;
-  /// Used by Method::targeting and d == 3.  The 2K stages resolve their
-  /// ΔD2 storage from `targeting.objective` / `targeting.memory_budget_mb`
+  /// Used by Method::targeting and d == 3, which run gen::Pipeline
+  /// (gen/pipeline.hpp).  The 2K stages resolve their ΔD2 storage from
+  /// `targeting.objective` / `targeting.memory_budget_mb`
   /// (objective_backend.hpp): graphs whose degree diversity would not
   /// fit the dense difference matrix route to the sparse backend, so
   /// `extract → generate` works at scales the matrix cannot reach.
   TargetingOptions targeting = {};
-  /// DEPRECATED (one-release shim, svc/run_context.hpp): prefer
-  /// svc::RunContext::chains + apply(ctx).
-  /// Targeting stages run through the multi-chain annealing driver:
-  /// `chains.chains` independently seeded chains scheduled on the shared
-  /// thread pool, best distance wins.  Default 0 = autotune: one chain
-  /// per available core (default_chain_count(), clamped to [1, 8]) —
-  /// since PR 3 the chains genuinely occupy separate cores, so extra
-  /// chains up to the core count improve the best-of-K distance at
-  /// roughly constant wall-clock.  Set to 1 to recover the single-chain
-  /// behavior exactly, or any explicit count to pin it (the CLI's
-  /// --chains flag does exactly that).
-  MultiChainOptions chains{.chains = 0};
-
-  /// Copies the shared execution context over the duplicated knobs:
-  /// the chain fan-out plus everything TargetingOptions::apply covers
-  /// (workers, memory budget, stop, progress).
-  void apply(const svc::RunContext& ctx) noexcept {
-    chains.chains = ctx.chains;
-    targeting.apply(ctx);
-  }
 };
 
 /// Generate a dK-random graph from distributions (no original needed).
@@ -62,19 +44,20 @@ struct GenerateOptions {
 /// Throws std::invalid_argument for unsupported (d, method) pairs and
 /// GenerationError when a construction cannot complete.
 ///
-/// DEPRECATED as a public entry point (one-release shim): prefer the
-/// RunContext overload below, which owns seeding and cancellation.
-/// This signature remains the composition primitive the context form
-/// wraps (multi-stage pipelines that must share one Rng use it).
+/// Targeting (and every d = 3 call) runs gen::Pipeline to the end with
+/// default_chain_count() chains; `rng` is advanced by matching_1k and
+/// one draw per targeting stage.  This Rng form is the composition
+/// primitive; prefer the RunContext overload below, which owns seeding,
+/// the chain count and cancellation.
 Graph generate_dk_random(const dk::DkDistributions& target, int d,
                          const GenerateOptions& options, util::Rng& rng);
 
 /// Context form — the unified entry-point contract (docs/service.md):
-/// seeds from ctx.seed, applies ctx's chains/workers/budget/stop/
-/// progress over `options`, and is exactly equivalent to apply(ctx) +
-/// the Rng overload with Rng(ctx.seed).  Cancellation: the chains honor
-/// ctx.stop at their poll boundaries and the call returns the best
-/// graph reached so far (check ctx.stop.stop_requested() to tell).
+/// seeds from ctx.seed, runs ctx.chains chains (0 = autotune), applies
+/// ctx's workers/budget/stop/progress over `options.targeting`.
+/// Cancellation: a stop discards each chain's partial leg and the call
+/// returns the best graph at the chains' last leg boundaries (check
+/// ctx.stop.stop_requested() to tell) — the 1K seed if no leg completed.
 Graph generate_dk_random(const dk::DkDistributions& target, int d,
                          GenerateOptions options, const svc::RunContext& ctx);
 

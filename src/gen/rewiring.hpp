@@ -54,7 +54,7 @@ struct RewiringStats {
   }
 
   /// Field-wise accumulation — THE way chain/leg stats are summed
-  /// (multichain drivers, checkpoint legs, tool summaries), so a new
+  /// (pipeline chains, checkpoint legs, tool summaries), so a new
   /// counter added here is aggregated everywhere or nowhere.
   RewiringStats& operator+=(const RewiringStats& other) {
     attempts += other.attempts;
@@ -183,9 +183,10 @@ struct TargetingOptions {
   /// svc::RunContext::workers + apply(ctx).
   /// Optimistic parallel evaluation workers for target_3k (the 2K path
   /// ignores it — its O(1) integer ΔD2 leaves nothing worth farming
-  /// out): 1 = serial chain; 0 = all cores.  Ignored inside multichain
-  /// drivers, whose chains already occupy the pool.  Results are a pure
-  /// function of (seed, batch), independent of the worker count.
+  /// out): 1 = serial chain; 0 = all cores.  A gen::Pipeline honors it
+  /// only when it runs a single chain — several chains already occupy
+  /// the pool.  Results are a pure function of (seed, batch),
+  /// independent of the worker count.
   std::size_t workers = 1;
   std::size_t batch = 256;  // proposals per speculation round (workers != 1)
   /// 2K objective storage (objective_backend.hpp, docs/scaling.md):
@@ -246,7 +247,7 @@ Graph target_3k(const Graph& start, const dk::ThreeKProfile& target,
                 double* final_distance = nullptr);
 
 // ---------------------------------------------------------------------------
-// Multi-chain targeting.
+// Chain count of multichain targeting (gen/pipeline.hpp).
 // ---------------------------------------------------------------------------
 
 /// Annealing chains to run for `requested` (0 = autotune): one chain per
@@ -255,35 +256,6 @@ Graph target_3k(const Graph& start, const dk::ThreeKProfile& target,
 /// [1, 8]: past ~8 chains the best-of-K improvement flattens while
 /// every chain still burns a full budget.
 std::size_t default_chain_count(std::size_t requested = 0) noexcept;
-
-struct MultiChainOptions {
-  /// Independently seeded annealing chains; 0 = autotune from the
-  /// available-core count via default_chain_count().
-  std::size_t chains = 4;
-};
-
-struct MultiChainResult {
-  std::size_t best_chain = 0;
-  double best_distance = 0.0;
-  RewiringStats total_stats;  // summed over all chains
-};
-
-/// Runs `options.chains` independently seeded targeting chains in
-/// parallel (std::thread) and returns the best-distance result.  Chain
-/// seeds are drawn from `rng` up front and ties go to the lowest chain
-/// id, so the returned graph is a deterministic function of the inputs,
-/// independent of thread scheduling.
-Graph target_2k_multichain(const Graph& start,
-                           const dk::JointDegreeDistribution& target,
-                           const TargetingOptions& options,
-                           const MultiChainOptions& chains, util::Rng& rng,
-                           MultiChainResult* result = nullptr);
-
-Graph target_3k_multichain(const Graph& start,
-                           const dk::ThreeKProfile& target,
-                           const TargetingOptions& options,
-                           const MultiChainOptions& chains, util::Rng& rng,
-                           MultiChainResult* result = nullptr);
 
 // ---------------------------------------------------------------------------
 // dK-space exploration (§4.3).

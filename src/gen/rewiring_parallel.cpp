@@ -94,6 +94,23 @@ void ThreeKRewirer::randomize_parallel(std::size_t budget, util::Rng& rng,
   run_speculative(nullptr, options, budget, rng, pool, speculation, stats);
 }
 
+std::int64_t ThreeKRewirer::target_with_workers(
+    const dk::ThreeKProfile& target, const TargetingOptions& options,
+    std::size_t budget, util::Rng& rng, exec::ThreadPool& pool,
+    RewiringStats* stats) {
+  if (options.workers == 1) {
+    return this->target(target, options, budget, rng, stats);
+  }
+  util::expects(options.move == MoveKind::swap,
+                "target_3k: the speculative parallel path (workers != 1) "
+                "supports only --move swap");
+  const SpeculationOptions speculation{
+      .workers = exec::resolve_workers(options.workers),
+      .batch = options.batch};
+  return target_parallel(target, options, budget, rng, pool, speculation,
+                         stats);
+}
+
 std::int64_t ThreeKRewirer::target_parallel(
     const dk::ThreeKProfile& target, const TargetingOptions& options,
     std::size_t budget, util::Rng& rng, exec::ThreadPool& pool,

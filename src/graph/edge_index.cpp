@@ -1,6 +1,7 @@
 #include "graph/edge_index.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/keys.hpp"
@@ -34,12 +35,14 @@ void FlatEdgeHash::erase(std::uint64_t key) {
   table_.erase_at(i);
 }
 
-EdgeIndex::EdgeIndex(const Graph& g)
-    : edges_(g.edges()), hash_(g.num_edges()) {
-  const NodeId n = g.num_nodes();
-  degree_.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    degree_[v] = static_cast<std::uint32_t>(g.degree(v));
+EdgeIndex::EdgeIndex(const Graph& g) : EdgeIndex(g.num_nodes(), g.edges()) {}
+
+EdgeIndex::EdgeIndex(NodeId n, std::vector<Edge> edges)
+    : edges_(std::move(edges)), hash_(edges_.size()) {
+  degree_.assign(n, 0);
+  for (const auto& [u, v] : edges_) {
+    ++degree_[u];
+    ++degree_[v];
   }
   row_size_ = degree_;
 

@@ -82,6 +82,13 @@ class EdgeIndex {
 
   explicit EdgeIndex(const Graph& g);
 
+  /// Builds the index straight from an edge list in slot order — the
+  /// canonical chain state of the leg driver (gen/checkpoint.hpp).
+  /// Slot for slot equal to EdgeIndex(Graph) of the same edges, so a
+  /// chain rebuilt from either walks bit-identically.  Preconditions:
+  /// a simple graph on nodes [0, n).
+  EdgeIndex(NodeId n, std::vector<Edge> edges);
+
   NodeId num_nodes() const noexcept {
     return static_cast<NodeId>(degree_.size());
   }

@@ -1,5 +1,6 @@
 #include "io/checkpoint_io.hpp"
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -14,16 +15,25 @@ namespace orbis::io {
 
 namespace {
 
-// v2 adds the move kind, the replica-exchange ladder block and a
-// per-chain temperature (as IEEE-754 bits, so the round-trip is exact).
-// v1 files remain readable: the new records default to a non-laddered
-// swap-only run, which is exactly what every v1 run was.
-constexpr const char* kHeader = "# orbis checkpoint v2";
-constexpr const char* kHeaderV1 = "# orbis checkpoint v1";
+// v2 added the move kind, the replica-exchange ladder block and a
+// per-chain temperature (as IEEE-754 bits, so the round-trip is exact);
+// v3 adds the pipeline's target level and, while a stage remains, its
+// master Rng.  Older files remain readable: v1's missing records default
+// to a non-laddered swap-only run, and v1/v2 runs are single-stage
+// (target_d = d), which is exactly what they were.
+constexpr const char* kHeaders[] = {"# orbis checkpoint v1",
+                                    "# orbis checkpoint v2",
+                                    "# orbis checkpoint v3"};
 
 void write_checkpoint(std::ostream& out, const gen::RunCheckpoint& state) {
-  out << kHeader << '\n';
+  out << kHeaders[2] << '\n';
   out << "d " << state.d << '\n';
+  out << "target_d " << state.target_d << '\n';
+  if (state.d < state.target_d) {
+    out << "pipeline_rng " << state.pipeline_rng[0] << ' '
+        << state.pipeline_rng[1] << ' ' << state.pipeline_rng[2] << ' '
+        << state.pipeline_rng[3] << '\n';
+  }
   out << "budget " << state.budget << '\n';
   out << "every " << state.checkpoint_every << '\n';
   out << "backend " << gen::to_string(state.backend) << '\n';
@@ -51,9 +61,8 @@ void write_checkpoint(std::ostream& out, const gen::RunCheckpoint& state) {
         << s.rejected_structural << ' ' << s.rejected_constraint << ' '
         << s.rejected_objective << ' ' << s.conflict_reevaluations << '\n';
     out << "distance " << chain.distance << '\n';
-    out << "graph " << chain.graph.num_nodes() << ' '
-        << chain.graph.num_edges() << '\n';
-    for (const Edge& e : chain.graph.edges()) {
+    out << "graph " << state.nodes << ' ' << chain.edges.size() << '\n';
+    for (const Edge& e : chain.edges) {
       out << e.u << ' ' << e.v << '\n';
     }
     out << "end chain\n";
@@ -167,6 +176,8 @@ class CheckpointParser {
   std::size_t line_number_ = 0;
 };
 
+/// Reads one chain's "graph n m" block; the edges come back in file
+/// (slot) order, checked simple.
 Graph read_graph(CheckpointParser& parser) {
   std::uint64_t header[2] = {0, 0};
   parser.keyed_u64s("graph", header, 2);
@@ -210,18 +221,30 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
 
   const std::string& header = parser.next_line("checkpoint header");
   int version = 0;
-  if (header == kHeader) {
-    version = 2;
-  } else if (header == kHeaderV1) {
-    version = 1;
-  } else {
-    parser.fail(std::string("expected '") + kHeader + "' or '" + kHeaderV1 +
-                "', got: " + header);
+  for (int v = 1; v <= 3; ++v) {
+    if (header == kHeaders[v - 1]) version = v;
+  }
+  if (version == 0) {
+    parser.fail(std::string("expected '") + kHeaders[2] +
+                "' (or v1/v2), got: " + header);
   }
   gen::RunCheckpoint state;
   const std::uint64_t d = parser.keyed_u64("d");
   if (d != 2 && d != 3) parser.fail("d must be 2 or 3");
   state.d = static_cast<int>(d);
+  state.target_d = state.d;
+  if (version >= 3) {
+    const std::uint64_t target_d = parser.keyed_u64("target_d");
+    if (target_d != 2 && target_d != 3) parser.fail("target_d must be 2 or 3");
+    if (target_d < d) parser.fail("stage d exceeds the pipeline's target_d");
+    state.target_d = static_cast<int>(target_d);
+    if (state.d < state.target_d) {
+      parser.keyed_u64s("pipeline_rng", state.pipeline_rng.data(), 4);
+      if (state.pipeline_rng == std::array<std::uint64_t, 4>{}) {
+        parser.fail("all-zero pipeline rng state");
+      }
+    }
+  }
   state.budget = parser.keyed_u64("budget");
   state.checkpoint_every = parser.keyed_u64("every");
   const std::string backend = parser.keyed_word("backend");
@@ -296,7 +319,12 @@ gen::RunCheckpoint read_checkpoint_file(const std::string& path) {
     chain.stats.rejected_objective = stats[4];
     chain.stats.conflict_reevaluations = stats[5];
     chain.distance = parser.keyed_i64("distance");
-    chain.graph = read_graph(parser);
+    const Graph graph = read_graph(parser);
+    if (i > 0 && graph.num_nodes() != state.nodes) {
+      parser.fail("chains on different node counts");
+    }
+    state.nodes = graph.num_nodes();
+    chain.edges = graph.edges();
     parser.expect_literal("end chain");
   }
   parser.expect_literal("end checkpoint");

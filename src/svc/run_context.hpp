@@ -11,7 +11,8 @@
 //   seed              — the run's RNG seed; make_rng() is the ONLY
 //                       place a context turns into a generator, so two
 //                       calls with equal contexts draw identical streams
-//   chains            — multichain fan-out (0 = autotune, one per core)
+//   chains            — gen::Pipeline's chain count (0 = autotune, one
+//                       per core); the only place the count lives
 //   workers           — speculative evaluation workers (1 = serial)
 //   memory_budget_mb  — objective-backend budget (docs/scaling.md)
 //   stop              — cooperative cancellation (util/stop_token.hpp);
@@ -22,8 +23,8 @@
 // Entry points accept a RunContext alongside their algorithm-specific
 // options (gen::GenerateOptions keeps method/temperature/budget — those
 // describe WHAT to compute; the context describes HOW this particular
-// run executes).  The options structs keep their historical fields as
-// one-release back-compat shims: `options.apply(ctx)` copies the
+// run executes).  TargetingOptions and RandomizeOptions keep their
+// historical fields as back-compat shims: `options.apply(ctx)` copies the
 // context over them, and the context-taking overloads do exactly that,
 // so a context-driven call and a hand-filled legacy call are
 // bit-identical.
@@ -57,8 +58,8 @@ struct RunContext {
   /// context plus the algorithm options.
   std::uint64_t seed = 1;
 
-  /// Multichain fan-out for targeting stages; 0 = autotune (one chain
-  /// per available core, gen::default_chain_count).
+  /// Chains of every targeting stage (gen::Pipeline); 0 = autotune (one
+  /// chain per available core, gen::default_chain_count).
   std::size_t chains = 0;
 
   /// Speculative evaluation workers for the 3K paths; 1 = serial,

@@ -3,10 +3,10 @@
 #include <sys/stat.h>
 
 #include <atomic>
+#include <optional>
 #include <utility>
 
-#include "gen/checkpoint.hpp"
-#include "gen/matching.hpp"
+#include "gen/pipeline.hpp"
 #include "io/dk_serialization.hpp"
 #include "io/edge_list.hpp"
 #include "obs/trace.hpp"
@@ -82,18 +82,14 @@ struct Server::Job {
   JobInfo info;  // guarded by Server::mutex_ once workers run
   bool started = false;
 
-  /// Generate-job continuation state; touched only by the worker
-  /// currently holding the job's slice (one slice in flight at a time).
-  struct GenerateState {
+  /// Generate-job continuation: the target the pipeline reads and the
+  /// pipeline itself.  Touched only by the worker currently holding the
+  /// job's slice (one slice in flight at a time).
+  struct Generate {
     dk::DkDistributions target;
-    gen::TargetingOptions targeting;
-    gen::MultiChainOptions chains{};
-    std::uint64_t checkpoint_every = 0;
-    int stage = 2;  // currently targeted series level: 2, then 3
-    gen::RunCheckpoint run;
-    util::Rng rng{1};  // master seeding stream across stages
+    std::optional<gen::Pipeline> pipeline;
   };
-  std::unique_ptr<GenerateState> generate;
+  std::unique_ptr<Generate> generate;
 };
 
 Server::Server(ServerOptions options)
@@ -320,118 +316,69 @@ void Server::run_generate_leg(Job& job) {
   const obs::Span span("svc.job.generate_leg");
   const JobRequest& request = job.request;
   if (!job.generate) {
-    // First slice: read the target distributions, bootstrap the 1K
-    // start graph, build the stage-2 checkpointed run.
-    auto state = std::make_unique<Job::GenerateState>();
-    state->target.degree = io::read_1k_file(request.input_path + ".1k");
-    state->target.joint = io::read_2k_file(request.input_path + ".2k");
+    // First slice: read the target distributions and start the pipeline
+    // (the 1K bootstrap runs here).
+    auto generate = std::make_unique<Job::Generate>();
+    generate->target.degree = io::read_1k_file(request.input_path + ".1k");
+    generate->target.joint = io::read_2k_file(request.input_path + ".2k");
     if (request.d >= 3) {
-      state->target.three_k = io::read_3k_file(request.input_path + ".3k");
+      generate->target.three_k =
+          io::read_3k_file(request.input_path + ".3k");
     }
-    state->targeting.temperature = request.temperature;
+    gen::TargetingOptions targeting;
+    targeting.temperature = request.temperature;
     if (request.attempts_per_edge > 0) {
-      state->targeting.attempts_per_edge = request.attempts_per_edge;
+      targeting.attempts_per_edge = request.attempts_per_edge;
     }
-    state->targeting.attempts = request.attempts;
-    state->targeting.apply(request.ctx);
+    targeting.attempts = request.attempts;
+    targeting.apply(request.ctx);
     // Batch jobs report at leg granularity (the `leg` events); per-
     // attempt samples through the event sink would flood the wire.
-    state->targeting.progress = nullptr;
-    state->chains.chains = request.ctx.chains;
-    state->rng = request.ctx.make_rng();
-
-    Graph start;
-    {
-      const obs::Span seed_span("svc.generate.seed_1k");
-      start = gen::matching_1k(state->target.degree, state->rng);
-    }
-    const std::uint64_t budget =
-        request.attempts > 0
-            ? request.attempts
-            : static_cast<std::uint64_t>(state->targeting.attempts_per_edge) *
-                  start.num_edges();
-    state->checkpoint_every =
-        request.checkpoint_every > 0
-            ? request.checkpoint_every
-            : (budget > 8 ? budget / 8 : std::uint64_t{1});
-    state->run = gen::make_2k_run(start, state->targeting, state->chains,
-                                  state->checkpoint_every, state->rng);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      job.info.budget = state->run.budget;
-    }
-    job.generate = std::move(state);
+    targeting.progress = nullptr;
+    util::Rng rng = request.ctx.make_rng();
+    generate->pipeline.emplace(generate->target, request.d, targeting,
+                               request.ctx.chains, rng);
+    job.generate = std::move(generate);
   }
 
-  Job::GenerateState& state = *job.generate;
-  // One checkpoint leg per slice: the first boundary callback requests
-  // stop on the slice token, so the driver returns right there and the
-  // job re-queues behind whatever interactive work arrived meanwhile.
-  job.stop.reset();
-  if (job.cancelled.load(std::memory_order_relaxed)) {
-    // cancel() raced the reset; re-arm the stop it intended.
-    job.stop.request_stop();
-  }
-  gen::CheckpointOptions checkpointing;
-  checkpointing.stop = job.stop.token();
-  checkpointing.on_checkpoint = [this, &job](const gen::RunCheckpoint& run) {
-    job.stop.request_stop();
-    std::uint64_t legs = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      legs = ++job.info.legs_done;
-      job.info.attempts_done =
-          run.chains.empty() ? 0 : run.chains[0].attempts_done;
-    }
-    JobEvent event;
-    event.kind = JobEvent::Kind::leg;
-    event.job = job.id;
-    event.state = JobState::running;
-    event.attempts = legs;
-    event.budget = run.checkpoint_every > 0
-                       ? (run.budget + run.checkpoint_every - 1) /
-                             run.checkpoint_every
-                       : 1;
-    emit(event);
-  };
-
-  gen::CheckpointedResult result =
-      state.stage == 2
-          ? gen::run_checkpointed_2k(state.run, state.target.joint,
-                                     state.targeting, checkpointing)
-          : gen::run_checkpointed_3k(state.run, state.target.three_k,
-                                     state.targeting, checkpointing);
+  // One pipeline step per slice, then the job re-queues behind whatever
+  // interactive work arrived meanwhile.
+  gen::Pipeline& pipeline = *job.generate->pipeline;
+  const std::uint64_t stage_legs =
+      (pipeline.checkpoint().budget + pipeline.checkpoint().checkpoint_every -
+       1) / pipeline.checkpoint().checkpoint_every;
+  const std::size_t stages_before = pipeline.stages().size();
+  const bool completed_leg = pipeline.step();
+  const gen::RunCheckpoint& run = pipeline.checkpoint();
+  std::uint64_t legs = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    job.info.best_distance = result.best_distance;
-    job.info.attempts_done = result.attempts_done;
+    if (completed_leg) legs = ++job.info.legs_done;
+    job.info.budget = run.budget;
+    job.info.attempts_done = run.chains[0].attempts_done;
+    // A leg that ended a stage reports that stage's result; the next
+    // stage has not run yet.
+    job.info.best_distance =
+        pipeline.stages().size() > stages_before
+            ? pipeline.stages().back().final_distance
+            : static_cast<double>(run.chains[run.best_chain()].distance);
   }
-
-  if (job.cancelled.load(std::memory_order_relaxed)) {
+  if (job.cancelled.load(std::memory_order_relaxed) || !completed_leg) {
     finish(job, JobState::interrupted, "");
     return;
   }
-  // Our own slice-stop makes `interrupted` the EXPECTED result of a
-  // mid-run leg; the stage is over only when the driver ran out of
-  // budget (finished) or returned on its own (stop_distance reached).
-  const bool stage_complete = state.run.finished() || !result.interrupted;
-  if (!stage_complete) {
+  JobEvent event;
+  event.kind = JobEvent::Kind::leg;
+  event.job = job.id;
+  event.state = JobState::running;
+  event.attempts = legs;
+  event.budget = stage_legs;
+  emit(event);
+  if (!pipeline.finished()) {
     queue_.push(job.cls, job.id);
     return;
   }
-  if (state.stage == 2 && request.d == 3) {
-    const obs::Span stage_span("svc.generate.stage_3k");
-    state.stage = 3;
-    state.run = gen::make_3k_run(result.graph, state.targeting, state.chains,
-                                 state.checkpoint_every, state.rng);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      job.info.budget = state.run.budget;
-    }
-    queue_.push(job.cls, job.id);
-    return;
-  }
-  io::write_edge_list_file(request.output, result.graph);
+  io::write_edge_list_file(request.output, pipeline.graph());
   {
     std::lock_guard<std::mutex> lock(mutex_);
     job.info.files = {request.output};

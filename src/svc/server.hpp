@@ -14,10 +14,10 @@
 //     adapter that re-emits samples as events), state, and results.
 //
 // Job model.  Extract and metrics jobs are INTERACTIVE: one slice,
-// start to finish.  Generate jobs are BATCH: the server runs them as
-// checkpoint LEGS (gen/checkpoint.hpp) — each slice executes exactly
-// one leg (an on_checkpoint callback requests stop on the slice's
-// token, so the driver returns at the first boundary), then the job
+// start to finish.  Generate jobs are BATCH: each one owns a
+// gen::Pipeline (gen/pipeline.hpp) — the same stage machine the library
+// and the CLI run, so a job gives the library's bytes — and each slice
+// advances it by one step (one leg of every chain), then the job
 // re-queues.  Interactive work therefore interleaves with a
 // long-running generate at leg boundaries, and the FairQueue's stride
 // policy bounds how long a backlog of either class can delay the
@@ -83,12 +83,10 @@ struct JobRequest {
   /// extract: trusted-simple input (dk::StreamingOptions).
   bool assume_simple = false;
   /// generate: budget/temperature knobs; 0 = TargetingOptions defaults.
+  /// The leg length is derived from the graph (gen::leg_attempts).
   std::uint64_t attempts = 0;
   std::size_t attempts_per_edge = 0;
   double temperature = 0.0;
-  /// generate: leg length; 0 = auto (budget / 8, so every run has
-  /// interleaving boundaries).
-  std::uint64_t checkpoint_every = 0;
   /// metrics: phase toggles (metrics/summary.hpp).
   bool with_spectrum = true;
   bool with_distance = true;

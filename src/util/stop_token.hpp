@@ -9,12 +9,12 @@
 //     ThreeKRewirer::target/randomize) poll every few thousand attempts;
 //   * the optimistic parallel committer (rewiring_parallel) polls
 //     between speculation rounds;
-//   * exec::ParallelChainDriver polls before launching each chain body;
 //   * metrics::distance_distribution polls before each 64-source BFS
 //     batch;
-//   * the checkpointed run driver (gen/checkpoint.hpp) polls at leg
-//     boundaries ONLY, so an interrupted checkpointed run stops exactly
-//     at a canonical checkpoint boundary and resume stays bit-identical.
+//   * the leg driver behind gen::Pipeline (gen/checkpoint.hpp) polls
+//     before every leg and discards a leg the stop cut short, so an
+//     interrupted run stands exactly at a canonical leg boundary and
+//     resume stays bit-identical.
 //
 // request_stop() is a single relaxed atomic store, safe to call from a
 // signal handler (std::atomic<bool> is always lock-free on supported

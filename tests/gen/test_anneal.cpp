@@ -128,11 +128,25 @@ class LadderRunTest : public ::testing::Test {
                             std::uint64_t epoch) {
     util::Rng rng(seed);
     LadderOptions ladder;
-    ladder.replicas = replicas;
     ladder.exchange_every = epoch;
     ladder.top_temperature = 50.0;
-    return make_2k_ladder_run(start_, options_, ladder,
-                              /*checkpoint_every=*/epoch, rng);
+    RunCheckpoint state = make_run(2, start_, options_, replicas,
+                                   /*checkpoint_every=*/epoch, rng);
+    apply_ladder(state, options_, ladder);
+    return state;
+  }
+
+  /// A laddered run of `replicas` replicas, to the end; the best graph.
+  Graph run_ladder(int d, const Graph& start, const TargetingOptions& options,
+                   const LadderOptions& ladder, std::size_t replicas,
+                   util::Rng& rng, RewiringStats* stats = nullptr) {
+    RunCheckpoint state = make_run(d, start, options, replicas,
+                                   /*checkpoint_every=*/0, rng);
+    apply_ladder(state, options, ladder);
+    const CheckpointedResult result =
+        run_checkpointed(state, target_, options, {});
+    if (stats != nullptr) *stats = result.total_stats;
+    return state.graph(result.best_chain);
   }
 
   dk::DkDistributions target_;
@@ -156,8 +170,8 @@ TEST_F(LadderRunTest, ReplicaStreamsIndependentOfLadderShape) {
   // A plain (non-laddered) run of the same seed and chain count walks
   // the very same replica streams.
   util::Rng rng(5);
-  const RunCheckpoint plain = make_2k_run(
-      start_, options_, MultiChainOptions{.chains = 4}, 300, rng);
+  const RunCheckpoint plain = make_run(2, start_, options_, /*chains=*/4,
+                                       /*checkpoint_every=*/300, rng);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(plain.chains[i].rng_state, four.chains[i].rng_state) << i;
   }
@@ -175,10 +189,10 @@ TEST_F(LadderRunTest, ReplicaStreamsIndependentOfLadderShape) {
 TEST_F(LadderRunTest, CheckpointCadenceSnapsUpToTheEpochGrid) {
   util::Rng rng(5);
   LadderOptions ladder;
-  ladder.replicas = 3;
   ladder.exchange_every = 400;
-  RunCheckpoint state = make_2k_ladder_run(start_, options_, ladder,
-                                           /*checkpoint_every=*/500, rng);
+  RunCheckpoint state = make_run(2, start_, options_, /*chains=*/3,
+                                 /*checkpoint_every=*/500, rng);
+  apply_ladder(state, options_, ladder);
   EXPECT_EQ(state.checkpoint_every, 800u);
   EXPECT_EQ(state.checkpoint_every % state.exchange_every, 0u);
 }
@@ -207,8 +221,7 @@ TEST_F(LadderRunTest, BitIdenticalAcrossPoolSizesWithEqualMetrics) {
     checkpointing.pool = &pool;
     const std::uint64_t attempts_before = attempts_counter.value();
     const std::uint64_t accepts_before = accepts_counter.value();
-    out.result =
-        run_checkpointed_2k(out.state, target_.joint, options_, checkpointing);
+    out.result = run_checkpointed(out.state, target_, options_, checkpointing);
     out.metric_attempts = attempts_counter.value() - attempts_before;
     out.metric_accepts = accepts_counter.value() - accepts_before;
     return out;
@@ -226,11 +239,7 @@ TEST_F(LadderRunTest, BitIdenticalAcrossPoolSizesWithEqualMetrics) {
     EXPECT_EQ(a.rng_state, b.rng_state) << i;
     EXPECT_EQ(a.stats.attempts, b.stats.attempts) << i;
     EXPECT_EQ(a.stats.accepted, b.stats.accepted) << i;
-    ASSERT_EQ(a.graph.num_edges(), b.graph.num_edges()) << i;
-    for (std::size_t e = 0; e < a.graph.edges().size(); ++e) {
-      EXPECT_EQ(a.graph.edges()[e].u, b.graph.edges()[e].u);
-      EXPECT_EQ(a.graph.edges()[e].v, b.graph.edges()[e].v);
-    }
+    EXPECT_EQ(a.edges, b.edges) << i;
   }
   EXPECT_EQ(serial.result.best_chain, wide.result.best_chain);
   EXPECT_EQ(serial.result.best_distance, wide.result.best_distance);
@@ -252,8 +261,8 @@ TEST_F(LadderRunTest, EpochPassSwapsOnlyConfigurations) {
   // strictly better configuration, the cold slot is greedy.
   state.chains[0].distance = 100;
   state.chains[1].distance = 10;
-  const Graph cold_graph = state.chains[0].graph;
-  const Graph hot_graph = state.chains[1].graph;
+  const std::vector<Edge> cold_edges = state.chains[0].edges;
+  const std::vector<Edge> hot_edges = state.chains[1].edges;
   const auto cold_rng = state.chains[0].rng_state;
   const auto hot_rng = state.chains[1].rng_state;
   const double cold_temp = state.chains[0].temperature;
@@ -264,8 +273,8 @@ TEST_F(LadderRunTest, EpochPassSwapsOnlyConfigurations) {
 
   EXPECT_EQ(state.chains[0].distance, 10);
   EXPECT_EQ(state.chains[1].distance, 100);
-  EXPECT_EQ(state.chains[0].graph.edges()[0].u, hot_graph.edges()[0].u);
-  EXPECT_EQ(state.chains[1].graph.edges()[0].u, cold_graph.edges()[0].u);
+  EXPECT_EQ(state.chains[0].edges, hot_edges);
+  EXPECT_EQ(state.chains[1].edges, cold_edges);
   // Temperatures and Rng streams stay with their slots.
   EXPECT_EQ(state.chains[0].temperature, cold_temp);
   EXPECT_EQ(state.chains[1].temperature, hot_temp);
@@ -286,14 +295,12 @@ TEST_F(LadderRunTest, TradeMovesPreserveTheJdd) {
   options.move = MoveKind::trade;
   util::Rng rng(33);
   LadderOptions ladder;
-  ladder.replicas = 2;
   ladder.exchange_every = 400;
   ladder.top_temperature = 20.0;
-  MultiChainResult result;
-  const Graph out =
-      target_2k_ladder(start_, target_.joint, options, ladder, rng, &result);
+  RewiringStats stats;
+  const Graph out = run_ladder(2, start_, options, ladder, 2, rng, &stats);
   EXPECT_EQ(dk::JointDegreeDistribution::from_graph(out), jdd);
-  EXPECT_GT(result.total_stats.attempts, 0u);
+  EXPECT_GT(stats.attempts, 0u);
 }
 
 TEST_F(LadderRunTest, Mixed3KTargetingPreserves2K) {
@@ -307,12 +314,10 @@ TEST_F(LadderRunTest, Mixed3KTargetingPreserves2K) {
   options3.move = MoveKind::mixed;
   options3.attempts = 1500;
   LadderOptions ladder;
-  ladder.replicas = 2;
   ladder.exchange_every = 300;
   ladder.top_temperature = 20.0;
   util::Rng rng(44);
-  const Graph out =
-      target_3k_ladder(start3, target_.three_k, options3, ladder, rng);
+  const Graph out = run_ladder(3, start3, options3, ladder, 2, rng);
   EXPECT_EQ(dk::JointDegreeDistribution::from_graph(out), jdd);
 }
 

@@ -84,6 +84,46 @@ TEST(EdgeIndex, MirrorsSourceGraph) {
   EXPECT_TRUE(index.to_graph() == g);
 }
 
+TEST(EdgeIndex, FromEdgeListEqualsFromGraphSlotForSlot) {
+  // The leg driver rebuilds chains from (n, edges) alone; a rebuild must
+  // be the index a Graph of the same edges would give, down to the CSR
+  // row order and the bucket order that proposal sampling reads.  Swaps
+  // first, so the edge list is in a non-trivial slot order.
+  const Graph g = test_graph(7);
+  EdgeIndex walked(g);
+  util::Rng rng(8);
+  for (int i = 0; i < 200; ++i) {
+    const Edge e1 = walked.edge_at(walked.sample_edge(rng));
+    const Edge e2 = walked.edge_at(walked.sample_edge(rng));
+    const std::set<NodeId> ends{e1.u, e1.v, e2.u, e2.v};
+    if (ends.size() == 4 && !walked.has_edge(e1.u, e2.v) &&
+        !walked.has_edge(e2.u, e1.v)) {
+      walked.apply_swap(e1.u, e1.v, e2.u, e2.v);
+    }
+  }
+  const EdgeIndex from_list(walked.num_nodes(), walked.edges());
+  const EdgeIndex from_graph(walked.to_graph());
+  EXPECT_EQ(from_list.edges(), from_graph.edges());
+  ASSERT_EQ(from_list.num_classes(), from_graph.num_classes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto a = from_list.neighbors(v);
+    const auto b = from_graph.neighbors(v);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << v;
+    EXPECT_EQ(from_list.node_class(v), from_graph.node_class(v));
+  }
+  util::Rng rng_a(9);
+  util::Rng rng_b(9);
+  for (std::uint32_t c = 0; c < from_list.num_classes(); ++c) {
+    EXPECT_EQ(from_list.bucket_size(c), from_graph.bucket_size(c));
+    EdgeIndex::HalfEdge ha;
+    EdgeIndex::HalfEdge hb;
+    EXPECT_EQ(from_list.sample_half_edge(c, rng_a, ha),
+              from_graph.sample_half_edge(c, rng_b, hb));
+    EXPECT_EQ(ha.slot, hb.slot);
+    EXPECT_EQ(ha.anchor_is_u, hb.anchor_is_u);
+  }
+}
+
 TEST(EdgeIndex, DegreeClassesAreSortedAndComplete) {
   const auto g = test_graph(6);
   const EdgeIndex index(g);

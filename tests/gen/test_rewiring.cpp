@@ -334,8 +334,8 @@ TEST(RewiringStats, CountersPartitionAttemptsAcrossModes) {
 
 // ---------------------------------------------------------------------------
 // Determinism: the engine is a pure function of (input graph, options,
-// seed) — reruns must agree edge-for-edge, and the multi-chain driver
-// must not depend on thread scheduling.
+// seed) — reruns must agree edge-for-edge (several chains: see
+// test_pipeline.cpp).
 // ---------------------------------------------------------------------------
 
 TEST(Determinism, RandomizeIsReproducibleEdgeForEdge) {
@@ -372,70 +372,6 @@ TEST(Determinism, Target2kIsReproducibleEdgeForEdge) {
                            &distance_b);
   EXPECT_EQ(a.edges(), b.edges());
   EXPECT_EQ(distance_a, distance_b);
-}
-
-TEST(Determinism, MultiChainResultIndependentOfScheduling) {
-  const auto original = test_graph(57, 40, 90);
-  const auto target = dk::JointDegreeDistribution::from_graph(original);
-  util::Rng seed_rng(58);
-  const auto start =
-      matching_1k(dk::DegreeDistribution::from_graph(original), seed_rng);
-  TargetingOptions options;
-  options.attempts = 5000;
-  MultiChainOptions chains;
-  chains.chains = 4;
-
-  // Chains race on real threads; the selected result must still be a
-  // deterministic function of the seed (best distance, ties to the
-  // lowest chain id).
-  util::Rng rng_a(59);
-  MultiChainResult result_a;
-  const auto a =
-      target_2k_multichain(start, target, options, chains, rng_a, &result_a);
-  util::Rng rng_b(59);
-  MultiChainResult result_b;
-  const auto b =
-      target_2k_multichain(start, target, options, chains, rng_b, &result_b);
-
-  EXPECT_EQ(a.edges(), b.edges());
-  EXPECT_EQ(result_a.best_chain, result_b.best_chain);
-  EXPECT_EQ(result_a.best_distance, result_b.best_distance);
-  EXPECT_EQ(result_a.total_stats.attempts, result_b.total_stats.attempts);
-  expect_stats_partition_attempts(result_a.total_stats);
-
-  // The reported best distance matches a recount of the returned graph.
-  EXPECT_DOUBLE_EQ(result_a.best_distance,
-                   dk::SparseHistogram::squared_difference(
-                       dk::JointDegreeDistribution::from_graph(a).histogram(),
-                       target.histogram()));
-  // 1K is preserved by every chain.
-  auto realized = a.degree_sequence();
-  std::sort(realized.begin(), realized.end());
-  auto expected = original.degree_sequence();
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(realized, expected);
-}
-
-TEST(MultiChain, ThreeKDriverConvergesAndPreservesJdd) {
-  const auto original = test_graph(61, 35, 80);
-  const auto dists = dk::extract(original, 3);
-  util::Rng seed_rng(62);
-  const auto start = matching_2k(dists.joint, seed_rng);
-  TargetingOptions options;
-  options.attempts = 4000;
-  MultiChainOptions chains;
-  chains.chains = 3;
-
-  util::Rng rng(63);
-  MultiChainResult result;
-  const auto best = target_3k_multichain(start, dists.three_k, options,
-                                         chains, rng, &result);
-  EXPECT_EQ(dk::JointDegreeDistribution::from_graph(best), dists.joint);
-  EXPECT_LT(result.best_chain, chains.chains);
-  EXPECT_NEAR(result.best_distance,
-              dk::distance_3k(dk::ThreeKProfile::from_graph(best),
-                              dists.three_k),
-              1e-6);
 }
 
 // Hub stress for the speculative delta journal: node 0 has ~60 neighbors

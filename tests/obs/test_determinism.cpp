@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/series.hpp"
+#include "gen/pipeline.hpp"
 #include "gen/rewiring.hpp"
 #include "graph/builders.hpp"
 #include "graph/graph.hpp"
@@ -111,24 +112,25 @@ TEST_F(TelemetryDeterminismTest, RandomizeIdenticalWithTelemetryOn) {
   expect_identical(off, on);
 }
 
-TEST_F(TelemetryDeterminismTest, MultichainLanesIdenticalWithTelemetryOn) {
-  const auto target = dk::extract(target_graph_, 2).joint;
+TEST_F(TelemetryDeterminismTest, PipelineLanesIdenticalWithTelemetryOn) {
+  const auto target = dk::extract(target_graph_, 3);
   gen::TargetingOptions options;
   options.attempts = 20000;
-  const gen::MultiChainOptions chains{.chains = 3};
 
   util::Rng rng_off(31);
-  const Graph off =
-      gen::target_2k_multichain(start_, target, options, chains, rng_off);
+  gen::Pipeline off(target, 3, options, /*chains=*/3, rng_off);
+  ASSERT_TRUE(off.run());
 
+  obs::Tracer::global().enable();
   obs::TrajectoryRecorder trajectory;
   gen::TargetingOptions observed = options;
   observed.progress = &trajectory;
   util::Rng rng_on(31);
-  const Graph on =
-      gen::target_2k_multichain(start_, target, observed, chains, rng_on);
+  gen::Pipeline on(target, 3, observed, /*chains=*/3, rng_on);
+  ASSERT_TRUE(on.run());
+  obs::Tracer::global().disable();
 
-  expect_identical(off, on);
+  expect_identical(off.graph(), on.graph());
   // Each chain reported under its own lane.
   EXPECT_EQ(trajectory.lane_count(), 3u);
 }

@@ -1,6 +1,6 @@
 // Cooperative cancellation (util/stop_token.hpp): serial chains, the
-// multichain driver and the checkpointed leg driver all wind down at
-// batch boundaries without corrupting state.
+// leg driver and gen::Pipeline all wind down at batch boundaries
+// without corrupting state.
 #include "util/stop_token.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include "core/series.hpp"
 #include "gen/checkpoint.hpp"
 #include "gen/matching.hpp"
+#include "gen/pipeline.hpp"
 #include "gen/rewiring.hpp"
 #include "graph/builders.hpp"
 #include "util/rng.hpp"
@@ -81,8 +82,8 @@ TEST_F(CancellationTest, CheckpointedRunStopsAtTheBoundaryItWasAskedTo) {
 
   util::Rng rng(9);
   gen::RunCheckpoint state =
-      gen::make_2k_run(start, options, gen::MultiChainOptions{.chains = 2},
-                       /*checkpoint_every=*/250, rng);
+      gen::make_run(2, start, options, /*chains=*/2,
+                    /*checkpoint_every=*/250, rng);
 
   util::StopSource stop;
   gen::CheckpointOptions checkpointing;
@@ -94,7 +95,7 @@ TEST_F(CancellationTest, CheckpointedRunStopsAtTheBoundaryItWasAskedTo) {
     if (++checkpoints == 3) stop.request_stop();
   };
   const auto result =
-      gen::run_checkpointed_2k(state, target_.joint, options, checkpointing);
+      gen::run_checkpointed(state, target_, options, checkpointing);
 
   EXPECT_TRUE(result.interrupted);
   EXPECT_EQ(checkpoints, 3u);
@@ -114,8 +115,8 @@ TEST_F(CancellationTest, InterruptBeforeFirstLegPublishesNothing) {
 
   util::Rng rng(9);
   gen::RunCheckpoint state =
-      gen::make_2k_run(start, options, gen::MultiChainOptions{.chains = 2},
-                       /*checkpoint_every=*/250, rng);
+      gen::make_run(2, start, options, /*chains=*/2,
+                    /*checkpoint_every=*/250, rng);
 
   util::StopSource stop;
   stop.request_stop();
@@ -126,28 +127,30 @@ TEST_F(CancellationTest, InterruptBeforeFirstLegPublishesNothing) {
     published = true;
   };
   const auto result =
-      gen::run_checkpointed_2k(state, target_.joint, options, checkpointing);
+      gen::run_checkpointed(state, target_, options, checkpointing);
   EXPECT_TRUE(result.interrupted);
   EXPECT_FALSE(published);
   EXPECT_EQ(result.attempts_done, 0u);
 }
 
-TEST_F(CancellationTest, MultichainRunHonorsStopToken) {
-  util::Rng boot(17);
-  const Graph start = gen::matching_1k(target_.degree, boot);
+TEST_F(CancellationTest, PipelineRunHonorsStopToken) {
   gen::TargetingOptions options;
   options.attempts = 2000;
   util::StopSource stop;
   stop.request_stop();
   options.stop = stop.token();
   util::Rng rng(4);
-  // Chains poll the token at their batch boundaries; with the stop
-  // pre-requested this returns (nearly) immediately instead of burning
-  // the full budget.  The result is still a valid graph.
-  const Graph result = gen::target_2k_multichain(
-      start, target_.joint, options, gen::MultiChainOptions{.chains = 2},
-      rng);
-  EXPECT_EQ(result.num_edges(), start.num_edges());
+  // Chains poll the token between and inside legs; with the stop
+  // pre-requested this returns immediately instead of burning the full
+  // budget, discarding the partial leg.  The result is the last
+  // boundary's best graph — here the 1K seed — and still valid.
+  gen::Pipeline pipeline(target_, 3, options, /*chains=*/2, rng);
+  EXPECT_FALSE(pipeline.run());
+  const Graph result = pipeline.graph();
+  EXPECT_EQ(result.num_edges(), source_.num_edges());
+  for (const auto& chain : pipeline.checkpoint().chains) {
+    EXPECT_EQ(chain.stats.attempts, 0u);
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // The checkpoint/resume determinism contract (gen/checkpoint.hpp):
 // killing a run at ANY checkpoint boundary and resuming from the file
 // on disk produces the SAME final graph, distance and stats as the
-// uninterrupted run — bit-identical, for both 2K and 3K targeting —
-// plus the strict checkpoint-file parser.
+// uninterrupted run — bit-identical, for both 2K and 3K targeting and
+// for either stage of a d = 3 gen::Pipeline — plus the strict
+// checkpoint-file parser and the v1/v2 back-compat reads.
 #include "gen/checkpoint.hpp"
 
 #include "gen/anneal.hpp"
@@ -16,6 +17,7 @@
 
 #include "core/series.hpp"
 #include "gen/matching.hpp"
+#include "gen/pipeline.hpp"
 #include "graph/builders.hpp"
 #include "io/checkpoint_io.hpp"
 #include "util/errors.hpp"
@@ -65,13 +67,24 @@ class CheckpointResumeTest : public ::testing::Test {
     return (dir_ / name).string();
   }
 
+  /// A run's result plus the winner's graph (the driver hands back no
+  /// Graph; the state holds every chain's edges).
+  struct Outcome : CheckpointedResult {
+    Graph graph;
+  };
+
+  Outcome run_to_end(RunCheckpoint& state, const TargetingOptions& options) {
+    Outcome out{run_checkpointed(state, target_, options, {}), {}};
+    out.graph = state.graph(out.best_chain);
+    return out;
+  }
+
   /// The uninterrupted reference run (fresh Rng with `seed`).
-  CheckpointedResult reference_2k(std::uint64_t seed, RunCheckpoint* out) {
+  Outcome reference_2k(std::uint64_t seed, RunCheckpoint* out) {
     util::Rng rng(seed);
-    RunCheckpoint state = make_2k_run(start_, options_,
-                                      MultiChainOptions{.chains = 2},
-                                      /*checkpoint_every=*/300, rng);
-    auto result = run_checkpointed_2k(state, target_.joint, options_, {});
+    RunCheckpoint state = make_run(2, start_, options_, /*chains=*/2,
+                                   /*checkpoint_every=*/300, rng);
+    auto result = run_to_end(state, options_);
     if (out != nullptr) *out = state;
     return result;
   }
@@ -79,14 +92,12 @@ class CheckpointResumeTest : public ::testing::Test {
   /// Kill at checkpoint boundary `kill_at` (serialize to disk), then
   /// resume from the file in a fresh driver — the in-memory state of the
   /// first run is thrown away, as a process death would.
-  CheckpointedResult kill_and_resume_2k(std::uint64_t seed,
-                                        std::size_t kill_at) {
+  Outcome kill_and_resume_2k(std::uint64_t seed, std::size_t kill_at) {
     const std::string file = path("run.ck");
     {
       util::Rng rng(seed);
-      RunCheckpoint state = make_2k_run(start_, options_,
-                                        MultiChainOptions{.chains = 2},
-                                        /*checkpoint_every=*/300, rng);
+      RunCheckpoint state = make_run(2, start_, options_, /*chains=*/2,
+                                     /*checkpoint_every=*/300, rng);
       util::StopSource stop;
       CheckpointOptions checkpointing;
       checkpointing.stop = stop.token();
@@ -96,12 +107,12 @@ class CheckpointResumeTest : public ::testing::Test {
         if (++written >= kill_at) stop.request_stop();
       };
       auto partial =
-          run_checkpointed_2k(state, target_.joint, options_, checkpointing);
+          run_checkpointed(state, target_, options_, checkpointing);
       EXPECT_TRUE(partial.interrupted);
       EXPECT_EQ(partial.attempts_done, kill_at * 300);
     }
     RunCheckpoint resumed = io::read_checkpoint_file(file);
-    return run_checkpointed_2k(resumed, target_.joint, options_, {});
+    return run_to_end(resumed, options_);
   }
 
   std::filesystem::path dir_;
@@ -134,17 +145,15 @@ TEST_F(CheckpointResumeTest, KillAtEveryBoundaryResumesBitIdentical2K) {
   options_.attempts = 1000;  // 5 legs of 200
   const std::string file = path("sweep.ck");
   util::Rng ref_rng(3);
-  RunCheckpoint ref_state = make_2k_run(start_, options_,
-                                        MultiChainOptions{.chains = 2},
-                                        /*checkpoint_every=*/200, ref_rng);
+  RunCheckpoint ref_state = make_run(2, start_, options_, /*chains=*/2,
+                                     /*checkpoint_every=*/200, ref_rng);
   const auto reference =
-      run_checkpointed_2k(ref_state, target_.joint, options_, {});
+      run_to_end(ref_state, options_);
 
   for (std::size_t kill_at = 1; kill_at <= 4; ++kill_at) {
     util::Rng rng(3);
-    RunCheckpoint state = make_2k_run(start_, options_,
-                                      MultiChainOptions{.chains = 2},
-                                      /*checkpoint_every=*/200, rng);
+    RunCheckpoint state = make_run(2, start_, options_, /*chains=*/2,
+                                   /*checkpoint_every=*/200, rng);
     util::StopSource stop;
     CheckpointOptions checkpointing;
     checkpointing.stop = stop.token();
@@ -153,11 +162,11 @@ TEST_F(CheckpointResumeTest, KillAtEveryBoundaryResumesBitIdentical2K) {
       io::write_checkpoint_file(file, snapshot);
       if (++written >= kill_at) stop.request_stop();
     };
-    run_checkpointed_2k(state, target_.joint, options_, checkpointing);
+    run_checkpointed(state, target_, options_, checkpointing);
 
     RunCheckpoint resumed = io::read_checkpoint_file(file);
     const auto result =
-        run_checkpointed_2k(resumed, target_.joint, options_, {});
+        run_to_end(resumed, options_);
     expect_same_edges(reference.graph, result.graph);
     expect_same_stats(reference.total_stats, result.total_stats);
   }
@@ -173,18 +182,16 @@ TEST_F(CheckpointResumeTest, KillAndResumeBitIdentical3K) {
   TargetingOptions options3 = options_;
   options3.attempts = 1500;  // 5 legs of 300
   util::Rng ref_rng(11);
-  RunCheckpoint ref_state = make_3k_run(start3, options3,
-                                        MultiChainOptions{.chains = 2},
-                                        /*checkpoint_every=*/300, ref_rng);
+  RunCheckpoint ref_state = make_run(3, start3, options3, /*chains=*/2,
+                                     /*checkpoint_every=*/300, ref_rng);
   const auto reference =
-      run_checkpointed_3k(ref_state, target_.three_k, options3, {});
+      run_to_end(ref_state, options3);
 
   const std::string file = path("run3.ck");
   {
     util::Rng rng(11);
-    RunCheckpoint state = make_3k_run(start3, options3,
-                                      MultiChainOptions{.chains = 2},
-                                      /*checkpoint_every=*/300, rng);
+    RunCheckpoint state = make_run(3, start3, options3, /*chains=*/2,
+                                   /*checkpoint_every=*/300, rng);
     util::StopSource stop;
     CheckpointOptions checkpointing;
     checkpointing.stop = stop.token();
@@ -194,12 +201,12 @@ TEST_F(CheckpointResumeTest, KillAndResumeBitIdentical3K) {
       if (++written >= 2) stop.request_stop();
     };
     auto partial =
-        run_checkpointed_3k(state, target_.three_k, options3, checkpointing);
+        run_checkpointed(state, target_, options3, checkpointing);
     EXPECT_TRUE(partial.interrupted);
   }
   RunCheckpoint resumed = io::read_checkpoint_file(file);
   const auto result =
-      run_checkpointed_3k(resumed, target_.three_k, options3, {});
+      run_to_end(resumed, options3);
   expect_same_edges(reference.graph, result.graph);
   expect_same_stats(reference.total_stats, result.total_stats);
   EXPECT_EQ(reference.best_distance, result.best_distance);
@@ -212,22 +219,22 @@ TEST_F(CheckpointResumeTest, LadderedKillAndResumeBitIdentical2K) {
   // stats, temperatures, and the exchange Rng/counters.
   options_.move = MoveKind::mixed;
   LadderOptions ladder;
-  ladder.replicas = 3;
   ladder.exchange_every = 300;
   ladder.top_temperature = 50.0;
 
   util::Rng ref_rng(7);
-  RunCheckpoint ref_state = make_2k_ladder_run(start_, options_, ladder,
-                                               /*checkpoint_every=*/300,
-                                               ref_rng);
+  RunCheckpoint ref_state = make_run(2, start_, options_, /*chains=*/3,
+                                     /*checkpoint_every=*/300, ref_rng);
+  apply_ladder(ref_state, options_, ladder);
   const auto reference =
-      run_checkpointed_2k(ref_state, target_.joint, options_, {});
+      run_to_end(ref_state, options_);
 
   const std::string file = path("ladder.ck");
   {
     util::Rng rng(7);
-    RunCheckpoint state = make_2k_ladder_run(start_, options_, ladder,
-                                             /*checkpoint_every=*/300, rng);
+    RunCheckpoint state = make_run(2, start_, options_, /*chains=*/3,
+                                   /*checkpoint_every=*/300, rng);
+    apply_ladder(state, options_, ladder);
     util::StopSource stop;
     CheckpointOptions checkpointing;
     checkpointing.stop = stop.token();
@@ -237,14 +244,14 @@ TEST_F(CheckpointResumeTest, LadderedKillAndResumeBitIdentical2K) {
       if (++written >= 3) stop.request_stop();
     };
     auto partial =
-        run_checkpointed_2k(state, target_.joint, options_, checkpointing);
+        run_checkpointed(state, target_, options_, checkpointing);
     EXPECT_TRUE(partial.interrupted);
   }
   RunCheckpoint resumed = io::read_checkpoint_file(file);
   EXPECT_TRUE(resumed.laddered());
   EXPECT_EQ(resumed.move, MoveKind::mixed);
   const auto result =
-      run_checkpointed_2k(resumed, target_.joint, options_, {});
+      run_to_end(resumed, options_);
 
   expect_same_edges(reference.graph, result.graph);
   expect_same_stats(reference.total_stats, result.total_stats);
@@ -255,7 +262,7 @@ TEST_F(CheckpointResumeTest, LadderedKillAndResumeBitIdentical2K) {
     EXPECT_EQ(resumed.chains[i].temperature, ref_state.chains[i].temperature)
         << i;
     EXPECT_EQ(resumed.chains[i].rng_state, ref_state.chains[i].rng_state) << i;
-    expect_same_edges(resumed.chains[i].graph, ref_state.chains[i].graph);
+    EXPECT_EQ(resumed.chains[i].edges, ref_state.chains[i].edges) << i;
   }
   EXPECT_EQ(resumed.exchange_rng, ref_state.exchange_rng);
   EXPECT_GT(ref_state.exchange_attempted, 0u);
@@ -265,9 +272,8 @@ TEST_F(CheckpointResumeTest, LadderedKillAndResumeBitIdentical2K) {
 
 TEST_F(CheckpointResumeTest, CheckpointFileRoundTripsExactly) {
   util::Rng rng(5);
-  RunCheckpoint state = make_2k_run(start_, options_,
-                                    MultiChainOptions{.chains = 3},
-                                    /*checkpoint_every=*/500, rng);
+  RunCheckpoint state = make_run(2, start_, options_, /*chains=*/3,
+                                 /*checkpoint_every=*/500, rng);
   // Advance one leg so stats/distance are non-trivial.
   util::StopSource stop;
   CheckpointOptions checkpointing;
@@ -275,7 +281,7 @@ TEST_F(CheckpointResumeTest, CheckpointFileRoundTripsExactly) {
   checkpointing.on_checkpoint = [&](const RunCheckpoint&) {
     stop.request_stop();
   };
-  run_checkpointed_2k(state, target_.joint, options_, checkpointing);
+  run_checkpointed(state, target_, options_, checkpointing);
 
   const std::string file = path("roundtrip.ck");
   io::write_checkpoint_file(file, state);
@@ -291,14 +297,13 @@ TEST_F(CheckpointResumeTest, CheckpointFileRoundTripsExactly) {
     EXPECT_EQ(loaded.chains[i].rng_state, state.chains[i].rng_state);
     EXPECT_EQ(loaded.chains[i].distance, state.chains[i].distance);
     expect_same_stats(loaded.chains[i].stats, state.chains[i].stats);
-    expect_same_edges(loaded.chains[i].graph, state.chains[i].graph);
+    EXPECT_EQ(loaded.chains[i].edges, state.chains[i].edges);
   }
 }
 
 TEST_F(CheckpointResumeTest, TruncatedCheckpointIsAParseErrorNotAResume) {
   util::Rng rng(5);
-  RunCheckpoint state = make_2k_run(start_, options_,
-                                    MultiChainOptions{.chains = 2}, 500, rng);
+  RunCheckpoint state = make_run(2, start_, options_, /*chains=*/2, 500, rng);
   const std::string file = path("torn.ck");
   io::write_checkpoint_file(file, state);
 
@@ -356,18 +361,149 @@ TEST_F(CheckpointResumeTest, CorruptCheckpointFieldsAreRejectedWithLine) {
 TEST_F(CheckpointResumeTest, ResumingAFinishedRunJustReturnsTheResult) {
   util::Rng rng(13);
   options_.attempts = 600;
-  RunCheckpoint state = make_2k_run(start_, options_,
-                                    MultiChainOptions{.chains = 2}, 300, rng);
-  const auto first = run_checkpointed_2k(state, target_.joint, options_, {});
+  RunCheckpoint state = make_run(2, start_, options_, /*chains=*/2, 300, rng);
+  const auto first = run_to_end(state, options_);
   EXPECT_TRUE(state.finished());
 
   const std::string file = path("done.ck");
   io::write_checkpoint_file(file, state);
   RunCheckpoint reloaded = io::read_checkpoint_file(file);
   const auto again =
-      run_checkpointed_2k(reloaded, target_.joint, options_, {});
+      run_to_end(reloaded, options_);
   EXPECT_FALSE(again.interrupted);
   expect_same_edges(first.graph, again.graph);
+}
+
+TEST_F(CheckpointResumeTest, D3PipelineKilledInIts2KStageResumesBitIdentical) {
+  TargetingOptions options;
+  options.attempts_per_edge = 200;  // 4 legs per stage
+  util::Rng ref_rng(21);
+  Pipeline reference(target_, 3, options, /*chains=*/2, ref_rng);
+  ASSERT_TRUE(reference.run());
+
+  const std::string file = path("pipeline.ck");
+  {
+    util::StopSource stop;
+    TargetingOptions killable = options;
+    killable.stop = stop.token();
+    util::Rng rng(21);
+    Pipeline first(target_, 3, killable, /*chains=*/2, rng);
+    for (int leg = 0; leg < 2; ++leg) {
+      ASSERT_TRUE(first.step());
+      io::write_checkpoint_file(file, first.checkpoint());
+    }
+    stop.request_stop();  // the kill lands inside the 2K stage's leg 3
+    EXPECT_FALSE(first.step());
+    EXPECT_EQ(first.checkpoint().d, 2);
+    EXPECT_EQ(first.checkpoint().chains[0].attempts_done,
+              2 * first.checkpoint().checkpoint_every);
+  }
+  RunCheckpoint loaded = io::read_checkpoint_file(file);
+  EXPECT_EQ(loaded.d, 2);
+  EXPECT_EQ(loaded.target_d, 3);
+  Pipeline resumed(target_, std::move(loaded), options);
+  ASSERT_TRUE(resumed.run());
+  ASSERT_TRUE(resumed.finished());
+  EXPECT_EQ(resumed.checkpoint().d, 3);
+  EXPECT_EQ(resumed.graph().edges(), reference.graph().edges());
+  ASSERT_EQ(resumed.stages().size(), 2u);
+  EXPECT_EQ(resumed.stages()[0].stats, reference.stages()[0].stats);
+  EXPECT_EQ(resumed.stages()[1].stats, reference.stages()[1].stats);
+  EXPECT_EQ(resumed.stages()[1].final_distance,
+            reference.stages()[1].final_distance);
+}
+
+TEST_F(CheckpointResumeTest, V1AndV2FilesStillResume) {
+  // A v3 file of a single-stage run, rewritten the way v1/v2 writers
+  // laid it out: both must resume to the uninterrupted run's bytes.
+  util::Rng ref_rng(4);
+  RunCheckpoint ref_state = make_run(2, start_, options_, /*chains=*/2,
+                                     /*checkpoint_every=*/300, ref_rng);
+  const auto reference = run_to_end(ref_state, options_);
+
+  util::Rng rng(4);
+  RunCheckpoint state = make_run(2, start_, options_, /*chains=*/2,
+                                 /*checkpoint_every=*/300, rng);
+  CheckpointOptions checkpointing;
+  checkpointing.max_legs = 3;
+  run_checkpointed(state, target_, options_, checkpointing);
+  const std::string v3 = path("v3.ck");
+  io::write_checkpoint_file(v3, state);
+
+  const auto rewrite = [&](const std::string& header,
+                           const std::vector<std::string>& dropped) {
+    std::ifstream in(v3);
+    std::string out;
+    std::string line;
+    std::getline(in, line);
+    out += header + "\n";
+    while (std::getline(in, line)) {
+      bool drop = false;
+      for (const std::string& key : dropped) {
+        drop = drop || line.rfind(key + " ", 0) == 0;
+      }
+      if (!drop) out += line + "\n";
+    }
+    const std::string file = path(header.substr(header.size() - 2) + ".ck");
+    std::ofstream(file, std::ios::trunc) << out;
+    return file;
+  };
+  const std::string v2 = rewrite("# orbis checkpoint v2", {"target_d"});
+  const std::string v1 = rewrite(
+      "# orbis checkpoint v1",
+      {"target_d", "move", "ladder", "temperature_bits"});
+  for (const std::string& file : {v1, v2}) {
+    RunCheckpoint loaded = io::read_checkpoint_file(file);
+    EXPECT_EQ(loaded.target_d, 2) << file;
+    EXPECT_EQ(loaded.checkpoint_every, 300u) << file;
+    const auto result = run_to_end(loaded, options_);
+    expect_same_edges(reference.graph, result.graph);
+    expect_same_stats(reference.total_stats, result.total_stats);
+  }
+}
+
+TEST_F(CheckpointResumeTest, CorruptV3PipelineRecordsAreRejectedWithLine) {
+  const std::string file = path("v3bad.ck");
+  const auto reject = [&](const std::string& content,
+                          const std::string& line) {
+    std::ofstream(file, std::ios::trunc) << content;
+    try {
+      io::read_checkpoint_file(file);
+      ADD_FAILURE() << "expected ParseError: " << content;
+    } catch (const ParseError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(file), std::string::npos) << what;
+      EXPECT_NE(what.find("line " + line), std::string::npos) << what;
+    }
+  };
+  reject("# orbis checkpoint v3\nd 3\ntarget_d 2\n", "3");  // stage > target
+  reject("# orbis checkpoint v3\nd 2\ntarget_d 4\n", "3");
+  reject("# orbis checkpoint v3\nd 2\nbudget 10\n", "3");   // no target_d
+  reject("# orbis checkpoint v3\nd 2\ntarget_d 3\n"
+         "pipeline_rng 0 0 0 0\n", "4");                    // all-zero rng
+  reject("# orbis checkpoint v3\nd 2\ntarget_d 3\n"
+         "pipeline_rng 1 2 3\n", "4");                      // short rng
+  reject("# orbis checkpoint v3\nd 2\ntarget_d 3\n"
+         "pipeline_rng 1 2 x 4\n", "4");                    // non-numeric
+  reject("# orbis checkpoint v3\nd 2\ntarget_d 3\n", "3");  // truncated
+
+  // A real mid-pipeline file cut right after its pipeline record.
+  TargetingOptions options;
+  options.attempts_per_edge = 200;
+  util::Rng rng(8);
+  Pipeline pipeline(target_, 3, options, /*chains=*/2, rng);
+  ASSERT_TRUE(pipeline.step());
+  io::write_checkpoint_file(file, pipeline.checkpoint());
+  std::string content;
+  {
+    std::ifstream in(file);
+    std::string line;
+    for (int i = 0; i < 4 && std::getline(in, line); ++i) {
+      content += line + "\n";
+    }
+  }
+  EXPECT_NE(content.find("\npipeline_rng "), std::string::npos) << content;
+  reject(content, "4");
 }
 
 }  // namespace

@@ -126,12 +126,12 @@ TEST_F(ToolCliTest, CheckpointKillResumeIsBitIdentical) {
                              path("g.2k") + "' --seed 11 --chains 2";
   // Uninterrupted checkpointed run.
   ASSERT_EQ(run(common + " --checkpoint '" + path("full.ck") +
-                "' --checkpoint-every 3000 --out '" + path("full.edges") +
+                "' --out '" + path("full.edges") +
                 "'"),
             0);
   // Same run, killed deterministically after the second checkpoint...
   ASSERT_EQ(run(common + " --checkpoint '" + path("part.ck") +
-                "' --checkpoint-every 3000 --stop-after-checkpoints 2 "
+                "' --stop-after-checkpoints 2 "
                 "--out '" + path("part.edges") + "'"),
             130);
   EXPECT_FALSE(fs::exists(path("part.edges")));  // no partial output
@@ -151,11 +151,11 @@ TEST_F(ToolCliTest, LadderedMixedMoveKillResumeIsBitIdentical) {
                              "' --seed 11 --ladder 3 --move mixed "
                              "--exchange-every 1500";
   ASSERT_EQ(run(common + " --checkpoint '" + path("lfull.ck") +
-                "' --checkpoint-every 3000 --out '" + path("lfull.edges") +
+                "' --out '" + path("lfull.edges") +
                 "'"),
             0);
   ASSERT_EQ(run(common + " --checkpoint '" + path("lpart.ck") +
-                "' --checkpoint-every 3000 --stop-after-checkpoints 2 "
+                "' --stop-after-checkpoints 2 "
                 "--out '" + path("lpart.edges") + "'"),
             130);
   EXPECT_FALSE(fs::exists(path("lpart.edges")));
@@ -187,6 +187,43 @@ TEST_F(ToolCliTest, CheckpointWithNonTargetingMethodExitsUsage) {
                 path("g.2k") + "' --checkpoint '" + path("x.ck") +
                 "' --out '" + path("x.edges") + "'"),
             2);
+}
+
+// Both targeting paths (plain and --checkpoint) run the same pipeline
+// and report each stage separately, with its final distance; the
+// recorded method is what ran (d = 3 always targets).
+TEST_F(ToolCliTest, ReportRecordsEveryTargetingStageWithItsDistance) {
+  io::write_1k_file(path("g.1k"), dk::extract(graph_, 1).degree);
+  io::write_3k_file(path("g.3k"), dk::extract(graph_, 3).three_k);
+  const std::string common = "generate --d 3 --from-1k '" + path("g.1k") +
+                             "' --from-2k '" + path("g.2k") +
+                             "' --from-3k '" + path("g.3k") +
+                             "' --seed 5 --chains 2 --quiet";
+  const auto stage_distance = [](const std::string& report,
+                                 const std::string& stage) {
+    const std::size_t at = report.find("\"" + stage + "\"");
+    if (at == std::string::npos) return std::string("missing");
+    const std::size_t key = report.find("\"final_distance\":", at);
+    const std::size_t value = report.find_first_not_of(
+        " ", key + std::string("\"final_distance\":").size());
+    return report.substr(value, 4);
+  };
+  for (const std::string& extra :
+       {std::string(), " --checkpoint '" + path("s.ck") + "'"}) {
+    ASSERT_EQ(run(common + extra + " --out '" + path("s.edges") +
+                  "' --report '" + path("s.json") + "'"),
+              0)
+        << extra;
+    const std::string report = slurp(path("s.json"));
+    ASSERT_TRUE(test_json::is_valid_json(report)) << report;
+    EXPECT_TRUE(test_json::has_entry(report, "method", "\"targeting\""));
+    for (const std::string stage : {"target.2k", "target.3k"}) {
+      const std::string distance = stage_distance(report, stage);
+      EXPECT_NE(distance, "missing") << stage << extra;
+      EXPECT_NE(distance, "null") << stage << extra;
+    }
+  }
+  EXPECT_FALSE(slurp(path("s.edges")).empty());
 }
 
 TEST_F(ToolCliTest, ReportAndTraceAreValidJson) {

@@ -51,7 +51,7 @@ TEST(RunContext, GenerateContextOverloadMatchesLegacyCall) {
 
   RunContext ctx;
   ctx.seed = 17;
-  ctx.chains = 1;
+  ctx.chains = 0;  // the Rng form always autotunes the chain count
   gen::GenerateOptions options;
   options.method = gen::Method::targeting;
   options.targeting.attempts = 2000;
@@ -59,11 +59,11 @@ TEST(RunContext, GenerateContextOverloadMatchesLegacyCall) {
 
   // The legacy path, hand-plumbed the way pre-context callers did it.
   gen::GenerateOptions legacy = options;
-  legacy.apply(ctx);
+  legacy.targeting.apply(ctx);
   util::Rng rng = ctx.make_rng();
   const Graph from_legacy = gen::generate_dk_random(target, 2, legacy, rng);
 
-  EXPECT_TRUE(from_ctx == from_legacy);
+  EXPECT_EQ(from_ctx.edges(), from_legacy.edges());
 }
 
 TEST(RunContext, DkRandomLikeContextOverloadMatchesLegacyCall) {

@@ -16,7 +16,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/series.hpp"
 #include "graph/builders.hpp"
+#include "io/dk_serialization.hpp"
 #include "io/edge_list.hpp"
 #include "svc/server.hpp"
 #include "util/rng.hpp"
@@ -68,8 +70,7 @@ class ServerTest : public ::testing::Test {
   }
 
   JobRequest generate_request(const std::string& out, int d,
-                              std::uint64_t attempts,
-                              std::uint64_t checkpoint_every = 0) const {
+                              std::uint64_t attempts) const {
     JobRequest request;
     request.kind = JobKind::generate;
     request.input_path = path("dk");  // filled by a prior extract
@@ -78,7 +79,6 @@ class ServerTest : public ::testing::Test {
     request.ctx.seed = 77;
     request.ctx.chains = 1;
     request.attempts = attempts;
-    request.checkpoint_every = checkpoint_every;
     return request;
   }
 
@@ -151,8 +151,7 @@ TEST_F(ServerTest, GenerateRunsAsLegsAndCompletes) {
   ASSERT_EQ(server.wait(server.submit(extract_request("dk"))).state,
             JobState::done);
   const JobInfo info = server.wait(
-      server.submit(generate_request("out.edges", 2, /*attempts=*/4000,
-                                     /*checkpoint_every=*/1000)));
+      server.submit(generate_request("out.edges", 2, /*attempts=*/18000)));
   ASSERT_EQ(info.state, JobState::done) << info.error;
   EXPECT_GE(info.legs_done, 4u);
   EXPECT_TRUE(fs::exists(path("out.edges")));
@@ -174,8 +173,7 @@ TEST_F(ServerTest, CancelInFlightGenerateDoesNotBlockExtracts) {
 
   // A generate big enough to never finish on its own in test time.
   const std::uint64_t generate_id = server.submit(
-      generate_request("big.edges", 3, /*attempts=*/50'000'000,
-                       /*checkpoint_every=*/2000));
+      generate_request("big.edges", 3, /*attempts=*/50'000'000));
   // Wait until it is genuinely in flight (first leg event).
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -209,12 +207,18 @@ TEST_F(ServerTest, CancelQueuedJobResolvesInterrupted) {
   Server server(server_options());
   ASSERT_EQ(server.wait(server.submit(extract_request("dk", 3))).state,
             JobState::done);
-  // Pin the single worker inside a long first leg (a 3K generate never
-  // converges this fast), so the extract submitted next is provably
-  // still queued when we cancel it.
-  const std::uint64_t long_id = server.submit(
-      generate_request("slow.edges", 3, /*attempts=*/400'000'000,
-                       /*checkpoint_every=*/200'000'000));
+  // Pin the single worker inside a long first leg, so the extract
+  // submitted next is provably still queued when we cancel it.  Legs
+  // are 50 attempts per edge, so a long leg needs a big graph: 10M
+  // attempts of one 2K chain on 200k edges.
+  util::Rng rng(3);
+  const dk::DkDistributions big =
+      dk::extract(builders::gnm(100'000, 200'000, rng), 2);
+  io::write_1k_file(path("big.1k"), big.degree);
+  io::write_2k_file(path("big.2k"), big.joint);
+  JobRequest slow = generate_request("slow.edges", 2, /*attempts=*/0);
+  slow.input_path = path("big");
+  const std::uint64_t long_id = server.submit(slow);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (server.status(long_id).state == JobState::queued) {
