@@ -304,6 +304,9 @@ void BM_FlatTableProbeMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_FlatTableProbeMiss)->Arg(1 << 10)->Arg(1 << 16);
 
+// The mutating single-edge path: remove_edge/add_edge x 2 per swap, as
+// count_rewirings drives it (each call scans the edge's two rows).  Not
+// evaluate_swap — that is BM_EvaluateSwap3K.
 void BM_DkStateSwap(benchmark::State& state) {
   const auto g = make_graph(1 << 12);
   dk::DkState dk_state(g, dk::TrackLevel::full_three_k);
@@ -323,6 +326,88 @@ void BM_DkStateSwap(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DkStateSwap);
+
+/// Barabási–Albert preferential attachment, `links` edges per new node,
+/// grown from a clique: heavy-tailed degrees with hubs in the hundreds.
+Graph preferential_attachment(NodeId n, std::uint32_t links,
+                              util::Rng& rng) {
+  Graph g(n);
+  std::vector<NodeId> ends;  // one entry per edge endpoint
+  for (NodeId v = 1; v <= links; ++v) {
+    for (NodeId u = 0; u < v; ++u) {
+      g.add_edge(u, v);
+      ends.push_back(u);
+      ends.push_back(v);
+    }
+  }
+  for (NodeId v = links + 1; v < n; ++v) {
+    for (std::uint32_t added = 0; added < links;) {
+      const NodeId u = ends[rng.uniform(ends.size())];
+      if (g.add_edge(u, v)) {
+        ends.push_back(u);
+        ends.push_back(v);
+        ++added;
+      }
+    }
+  }
+  return g;
+}
+
+// Evaluate-only 3K swap cost (DkState::evaluate_swap), the kernel under
+// every d = 3 chain: a fixed pool of valid JDD-preserving proposals
+// (uniform edge (a,b), then a half-edge d -> c anchored in b's degree
+// class, as the rewirer draws them) is evaluated round-robin against an
+// unchanging state.  Arg 0 is the 4x HOT shape of bench_e2e's hot3k
+// (few triangles, leaf-heavy hubs); arg 1 a 20k-node preferential-
+// attachment graph (hubs of degree in the hundreds).  Items processed =
+// evaluations.
+void BM_EvaluateSwap3K(benchmark::State& state) {
+  util::Rng graph_rng(20060911);
+  Graph g;
+  if (state.range(0) == 0) {
+    topo::HotOptions hot;
+    hot.num_core = 24;
+    hot.core_chords = 6;
+    hot.num_nodes = 3756;
+    hot.num_edges = 3952;
+    g = topo::hot_topology(hot, graph_rng);
+    state.SetLabel("hot4x");
+  } else {
+    g = preferential_attachment(20000, 2, graph_rng);
+    state.SetLabel("pa20k");
+  }
+  const dk::DkState dk_state(g, dk::TrackLevel::full_three_k);
+  const EdgeIndex& index = dk_state.index();
+  struct Proposal {
+    NodeId a, b, c, d;
+  };
+  std::vector<Proposal> proposals;
+  util::Rng rng(9);
+  while (proposals.size() < 4096) {
+    Edge e = index.edge_at(index.sample_edge(rng));
+    if (rng.bernoulli(0.5)) std::swap(e.u, e.v);
+    EdgeIndex::HalfEdge half;
+    if (!index.sample_half_edge(index.node_class(e.v), rng, half)) continue;
+    const Edge& other = index.edge_at(half.slot);
+    const NodeId d = half.anchor_is_u ? other.u : other.v;
+    const NodeId c = half.anchor_is_u ? other.v : other.u;
+    if (e.u == c || e.u == d || e.v == c || e.v == d ||
+        index.has_edge(e.u, d) || index.has_edge(c, e.v)) {
+      continue;
+    }
+    proposals.push_back({e.u, e.v, c, d});
+  }
+  dk::SwapDelta delta;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const Proposal& p = proposals[next];
+    next = (next + 1) % proposals.size();
+    dk_state.evaluate_swap(p.a, p.b, p.c, p.d, delta);
+    benchmark::DoNotOptimize(delta.s2_delta);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EvaluateSwap3K)->Arg(0)->Arg(1);
 
 void BM_Bfs(benchmark::State& state) {
   const auto g = make_graph(state.range(0));

@@ -260,95 +260,155 @@ void DkState::add_edge(NodeId u, NodeId v) {
   index_->add_edge(u, v);
 }
 
-void DkState::scan_edge_delta(NodeId u, NodeId v, NodeId skip_u,
-                              NodeId skip_v, bool removing, SwapDelta& out,
-                              EvalScratch& scratch) const {
-  const std::uint32_t du = index_->degree(u);
-  const std::uint32_t dv = index_->degree(v);
-  const std::int64_t sign = removing ? -1 : +1;
-  const bool histograms = tracks_histograms();
-
-  auto& mark = scratch.mark;
-  const std::uint64_t in_v = ++scratch.stamp;
-  const std::uint64_t common = ++scratch.stamp;
-  const auto u_nbrs = index_->neighbors(u);
-  const auto v_nbrs = index_->neighbors(v);
-  for (const NodeId y : v_nbrs) {
-    if (y != u && y != skip_v) mark[y] = in_v;
-  }
-  for (const NodeId x : u_nbrs) {
-    if (x == v || x == skip_u) continue;
-    const std::uint32_t dx = index_->degree(x);
-    if (mark[x] == in_v) {
-      mark[x] = common;
-      // Removing: triangle (u,v,x) dies, the pair (u,v) at center x
-      // opens into a wedge.  Adding: wedge u - x - v closes.
-      if (histograms) {
-        journal_add(out.journal.triangle, util::triangle_key(du, dv, dx),
-                    sign);
-        journal_add(out.journal.wedge, util::wedge_key(du, dx, dv), -sign);
-      }
-      out.s2_delta -= static_cast<double>(sign) * static_cast<double>(du) *
-                      static_cast<double>(dv);
-      out.triangle_nodes.emplace_back(u, static_cast<std::int32_t>(sign));
-      out.triangle_nodes.emplace_back(v, static_cast<std::int32_t>(sign));
-      out.triangle_nodes.emplace_back(x, static_cast<std::int32_t>(sign));
-      out.clustering_delta +=
-          static_cast<double>(sign) *
-          (clustering_weight(du) + clustering_weight(dv) +
-           clustering_weight(dx));
-    } else {
-      // Wedge x - u - v centered at u dies (removal) or appears (add).
-      if (histograms) {
-        journal_add(out.journal.wedge, util::wedge_key(dx, du, dv), sign);
-      }
-      out.s2_delta += static_cast<double>(sign) * static_cast<double>(dx) *
-                      static_cast<double>(dv);
-    }
-  }
-  for (const NodeId y : v_nbrs) {
-    if (y == u || y == skip_v) continue;
-    if (mark[y] == in_v) {
-      // Non-common neighbor of v: its wedge y - v - u centered at v.
-      const std::uint32_t dy = index_->degree(y);
-      if (histograms) {
-        journal_add(out.journal.wedge, util::wedge_key(dy, dv, du), sign);
-      }
-      out.s2_delta += static_cast<double>(sign) * static_cast<double>(dy) *
-                      static_cast<double>(du);
-    }
-  }
-}
-
 void DkState::evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
                             SwapDelta& out) const {
   evaluate_swap(a, b, c, d, out, scratch_);
 }
 
+// The swap (a,b),(c,d) -> (a,d),(c,b) as ONE net update, with
+// A = N(a)\{b}, B = N(b)\{a}, C = N(c)\{d}, D = N(d)\{c} taken before it.
+// Replaying its four single-edge mutations would write one entry per
+// incident wedge and cancel nearly all of them; the net form writes:
+//   * per common neighbor x of a mutated pair (u,v) — A∩B, C∩D (pairs
+//     that lose their edge, sign -1) and A∩D, C∩B (sign +1):
+//       T(ku,kv,kx) sign; W(ku,kx,kv), W(kx,ku,kv), W(kx,kv,ku) -sign;
+//   * per degree class K whose member count differs between the two rows
+//     whose partner changes: with kb = kd = k the arm wedges at a and c
+//     cancel class for class, and the centers b, d leave
+//       (n_B(K) - n_D(K)) * [W(K,k,kc) - W(K,k,ka)];
+//     with ka = kc = k, mirrored: (n_A(K) - n_C(K)) * [W(K,k,kd) -
+//     W(K,k,kb)].  If both equalities hold the class terms vanish.
+// Only the intersections need membership tests: B and D are marked once,
+// A and C scanned once, so each endpoint row is read exactly once.
 void DkState::evaluate_swap(NodeId a, NodeId b, NodeId c, NodeId d,
                             SwapDelta& out, EvalScratch& scratch) const {
   util::expects(tracks_three_k(),
                 "DkState::evaluate_swap: requires 3K tracking");
-  constexpr NodeId no_skip = 0xffffffffu;
-  if (scratch.mark.size() < index_->num_nodes()) {
-    scratch.mark.assign(index_->num_nodes(), 0);
-    // Stale stamps never alias fresh zeros: the stamp only grows.
+  const EdgeIndex& index = *index_;
+  const std::uint32_t ka = index.degree(a);
+  const std::uint32_t kb = index.degree(b);
+  const std::uint32_t kc = index.degree(c);
+  const std::uint32_t kd = index.degree(d);
+  util::expects(kb == kd || ka == kc,
+                "DkState::evaluate_swap: swap must preserve the JDD");
+  if (scratch.mark.size() < index.num_nodes()) {
+    scratch.mark.assign(index.num_nodes(), 0);
+    // Stale marks never alias fresh zeros: the stamp only grows.
+  }
+  if (scratch.class_net.size() < index.num_classes()) {
+    scratch.class_net.assign(index.num_classes(), 0);
   }
   out.clear();
   out.a = a;
   out.b = b;
   out.c = c;
   out.d = d;
-  // The four mutations of the swap, each scanned against the virtual
-  // intermediate graph: the first two see the original adjacency (their
-  // probed pairs never involve the other removed edge), the additions
-  // hide the endpoints their edges lost earlier in the sequence.
-  scan_edge_delta(a, b, no_skip, no_skip, /*removing=*/true, out, scratch);
-  scan_edge_delta(c, d, no_skip, no_skip, /*removing=*/true, out, scratch);
-  scan_edge_delta(a, d, /*skip_u=*/b, /*skip_v=*/c, /*removing=*/false, out,
-                  scratch);
-  scan_edge_delta(c, b, /*skip_u=*/d, /*skip_v=*/a, /*removing=*/false, out,
-                  scratch);
+  const bool histograms = tracks_histograms();
+  std::int64_t s2 = 0;  // exact integer; converted once at the end
+
+  // One common neighbor x of (u,v): a triangle dies (sign -1) or is born
+  // (+1).  Events and clustering_delta accumulate in causal order — the
+  // pairs' order in the swap, each in its first endpoint's row order —
+  // so the double sum is the same whichever way the rows were read.
+  const auto common = [&](NodeId u, std::uint32_t ku, NodeId v,
+                          std::uint32_t kv, NodeId x, std::int32_t sign) {
+    const std::uint32_t kx = index.degree(x);
+    if (histograms) {
+      journal_add(out.journal.triangle, util::triangle_key(ku, kv, kx), sign);
+      journal_add(out.journal.wedge, util::wedge_key(ku, kx, kv), -sign);
+      journal_add(out.journal.wedge, util::wedge_key(kx, ku, kv), -sign);
+      journal_add(out.journal.wedge, util::wedge_key(kx, kv, ku), -sign);
+    }
+    const std::int64_t u64 = ku, v64 = kv, x64 = kx;
+    s2 -= sign * (u64 * v64 + x64 * (u64 + v64));
+    out.triangle_nodes.emplace_back(u, sign);
+    out.triangle_nodes.emplace_back(v, sign);
+    out.triangle_nodes.emplace_back(x, sign);
+    out.clustering_delta +=
+        static_cast<double>(sign) *
+        (clustering_weight(ku) + clustering_weight(kv) +
+         clustering_weight(kx));
+  };
+
+  // Class-net counting runs over B/D when only kb = kd holds, over A/C
+  // when only ka = kc holds, and not at all when both do.
+  const bool count_bd = kb == kd && ka != kc;
+  const bool count_ac = ka == kc && kb != kd;
+  auto& class_net = scratch.class_net;
+  auto& touched = scratch.touched;
+  touched.clear();
+  const auto count = [&](NodeId v, std::int32_t delta) {
+    const std::uint32_t cls = index.node_class(v);
+    // A class may re-enter the list after returning to zero; the
+    // emission loop zeroes each entry as it reads it, so repeats are
+    // inert.
+    if (class_net[cls] == 0) touched.push_back(cls);
+    class_net[cls] += delta;
+  };
+
+  // Marks carry the evaluation's tag in the high bits and membership in
+  // B and D in the low two, so one stamp serves both sets.
+  constexpr std::uint64_t in_b = 1;
+  constexpr std::uint64_t in_d = 2;
+  constexpr std::uint64_t tag_mask = ~std::uint64_t{3};
+  auto& mark = scratch.mark;
+  const std::uint64_t tag = ++scratch.stamp << 2;
+  for (const NodeId y : index.neighbors(b)) {
+    if (y == a) continue;
+    mark[y] = tag | in_b;
+    if (count_bd) count(y, +1);
+  }
+  for (const NodeId y : index.neighbors(d)) {
+    if (y == c) continue;
+    const std::uint64_t m = mark[y];
+    mark[y] = ((m & tag_mask) == tag ? m : tag) | in_d;
+    if (count_bd) count(y, -1);
+  }
+
+  // A∩B and C∩D are emitted as found; A∩D and C∩B come after both, in
+  // their rows' order.
+  auto& born_a = scratch.common_ad;
+  auto& born_c = scratch.common_cb;
+  born_a.clear();
+  born_c.clear();
+  for (const NodeId x : index.neighbors(a)) {
+    if (x == b) continue;
+    const std::uint64_t m = mark[x];
+    if ((m & tag_mask) == tag) {
+      if ((m & in_b) != 0) common(a, ka, b, kb, x, -1);
+      if ((m & in_d) != 0) born_a.push_back(x);
+    }
+    if (count_ac) count(x, +1);
+  }
+  for (const NodeId x : index.neighbors(c)) {
+    if (x == d) continue;
+    const std::uint64_t m = mark[x];
+    if ((m & tag_mask) == tag) {
+      if ((m & in_d) != 0) common(c, kc, d, kd, x, -1);
+      if ((m & in_b) != 0) born_c.push_back(x);
+    }
+    if (count_ac) count(x, -1);
+  }
+  for (const NodeId x : born_a) common(a, ka, d, kd, x, +1);
+  for (const NodeId x : born_c) common(c, kc, b, kb, x, +1);
+
+  // Centers whose partner's class moves from `from` to `to`.
+  const std::uint32_t center = count_bd ? kb : ka;
+  const std::uint32_t from = count_bd ? ka : kb;
+  const std::uint32_t to = count_bd ? kc : kd;
+  for (const std::uint32_t cls : touched) {
+    const std::int32_t net = class_net[cls];
+    class_net[cls] = 0;
+    if (net == 0) continue;
+    const std::uint32_t k = index.class_degree(cls);
+    if (histograms) {
+      journal_add(out.journal.wedge, util::wedge_key(k, center, to), net);
+      journal_add(out.journal.wedge, util::wedge_key(k, center, from), -net);
+    }
+    s2 += static_cast<std::int64_t>(net) * k *
+          (static_cast<std::int64_t>(to) - static_cast<std::int64_t>(from));
+  }
+  out.s2_delta = static_cast<double>(s2);
   // No-op below the inline-coalesce limit; one O(k log k) sort-merge
   // when a hub endpoint overflowed it.
   out.journal.coalesce();

@@ -13,7 +13,11 @@
 // rewirer maintains exactly ONE adjacency structure.  Wedge/triangle
 // deltas of an edge mutation are computed by a timestamped mark-array
 // common-neighbor pass — mark N(v), sweep N(u) — which costs
-// O(deg u + deg v) with zero hash probes.
+// O(deg u + deg v) with zero hash probes.  A whole double-edge swap is
+// evaluated as one net update (evaluate_swap): the four mutations'
+// wedge terms cancel for every neighbor outside the swapped pairs'
+// intersections and every degree class whose count is unchanged, so
+// only common-neighbor and changed-class terms are ever written.
 //
 // Single edge insertions/removals update everything with node degrees
 // *frozen* at construction time: the intended use is degree-preserving
@@ -43,11 +47,12 @@ namespace orbis::dk {
 /// in-flight swap is 3K-preserving iff the journal is empty afterwards.
 /// Rewiring engines also read the non-zero deltas to evaluate ΔD3
 /// incrementally against a target without a per-mutation callback.
-/// Stored as a flat vector, not a hash map: a swap touches O(deg) bins,
-/// so linear coalescing beats node-allocating containers on the hot
-/// path.  JDD deltas are deliberately not journaled: a swap's four JDD
-/// bin moves follow in O(1) from the frozen endpoint degrees, so
-/// callers that need them compute them directly.
+/// Stored as a flat vector, not a hash map: a swap touches
+/// O(common neighbors + changed degree classes) bins, so linear
+/// coalescing beats node-allocating containers on the hot path.  JDD
+/// deltas are deliberately not journaled: a swap's four JDD bin moves
+/// follow in O(1) from the frozen endpoint degrees, so callers that
+/// need them compute them directly.
 struct DeltaJournal {
   using Entry = std::pair<std::uint64_t, std::int64_t>;
   using Map = std::vector<Entry>;  // tiny; zero-net entries are dropped
@@ -138,25 +143,36 @@ class DkState {
   void add_edge(NodeId u, NodeId v);
 
   /// Per-caller scratch for evaluate_swap: the timestamped mark array of
-  /// the common-neighbor passes.  evaluate_swap reads only const state
-  /// plus one scratch, so any number of threads may evaluate proposals
+  /// the endpoint rows, the per-degree-class net counts and the buffered
+  /// common neighbors.  evaluate_swap reads only const state plus one
+  /// scratch, so any number of threads may evaluate proposals
   /// concurrently against the SAME DkState as long as each brings its
   /// own scratch (the optimistic batching protocol of docs/parallel.md).
-  /// A scratch is bound to one state's node count; reuse it across
-  /// evaluations to keep the array warm.
+  /// Every field is left reusable by the next evaluation (class_net all
+  /// zero), on this state or another; reuse one scratch to keep it warm.
   struct EvalScratch {
-    std::vector<std::uint64_t> mark;
+    std::vector<std::uint64_t> mark;  // stamp << 2 | in-B/in-D bits
     std::uint64_t stamp = 0;
+    std::vector<std::int32_t> class_net;  // per degree class; zero between
+    std::vector<std::uint32_t> touched;   // classes class_net may hold
+    std::vector<NodeId> common_ad;        // A∩D in a's row order
+    std::vector<NodeId> common_cb;        // C∩B in c's row order
   };
 
   /// Speculatively evaluates the double-edge swap (a,b),(c,d) ->
   /// (a,d),(c,b): fills `out` with the net wedge/triangle bin deltas
   /// (at full_three_k), the per-node triangle events and the S2/C̄
-  /// scalar deltas, WITHOUT touching the histograms or the index.  The
-  /// cost is O(deg a + deg b + deg c + deg d) mark-array passes with
-  /// zero hash probes, so rejecting the proposal afterwards is free.
+  /// scalar deltas, WITHOUT touching the histograms or the index.
+  /// Computes the swap's net effect directly (docs/rewiring.md): each
+  /// endpoint row is read once, O(deg a + deg b + deg c + deg d) with
+  /// zero hash probes, and the journal receives only the common-neighbor
+  /// (triangle) terms and one pair of wedge terms per degree class whose
+  /// count changes — O(common neighbors + changed classes) writes.
+  /// Rejecting the proposal afterwards is free.
   /// Preconditions: 3K tracking is on, both edges exist, the four
-  /// endpoints are distinct, and neither replacement edge is present.
+  /// endpoints are distinct, neither replacement edge is present, and
+  /// the swap preserves the JDD (deg b = deg d or deg a = deg c; throws
+  /// std::invalid_argument otherwise).
   ///
   /// The scratch overload is safe to call from multiple threads
   /// concurrently (distinct scratches, no interleaved mutation); the
@@ -195,13 +211,6 @@ class DkState {
 
  private:
   void init(TrackLevel level);
-  /// One virtual-graph mark pass of evaluate_swap: the wedge/triangle
-  /// effect of removing (removing=true) or adding edge (u,v), with
-  /// `skip_u` hidden from u's row and `skip_v` from v's row so the pass
-  /// sees the intermediate graph of a half-applied swap.
-  void scan_edge_delta(NodeId u, NodeId v, NodeId skip_u, NodeId skip_v,
-                       bool removing, SwapDelta& out,
-                       EvalScratch& scratch) const;
   void bump_jdd(std::uint32_t k1, std::uint32_t k2, std::int64_t delta);
   void bump_wedge(std::uint32_t end1, std::uint32_t center,
                   std::uint32_t end2, std::int64_t delta);
