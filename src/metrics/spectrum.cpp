@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "util/check.hpp"
+#include "util/errors.hpp"
 #include "util/rng.hpp"
 
 namespace orbis::metrics {
@@ -70,184 +73,163 @@ class LaplacianOperator {
 };
 
 struct LanczosResult {
-  std::vector<double> ritz_values;  // ascending
+  TridiagonalExtremes extremes;
   std::size_t iterations = 0;
 };
 
-/// Lanczos with full reorthogonalization against both the Krylov basis
-/// and an optional deflation set.
-LanczosResult lanczos(const LaplacianOperator& op,
-                      const std::vector<Vector>& deflate,
+/// Three-term Lanczos on L, restricted to the complement of `deflate`
+/// when it is non-null.  Holds three n-vectors whatever the step count;
+/// only T_k's coefficients grow.
+LanczosResult lanczos(const LaplacianOperator& op, const Vector* deflate,
                       const SpectrumOptions& options) {
+  util::expects(options.max_iterations > 0,
+                "laplacian_extremes: max_iterations must be positive");
   const std::size_t n = op.dimension();
   const std::size_t max_iter = std::min(options.max_iterations, n);
   util::Rng rng(options.seed);
 
-  std::vector<Vector> basis;
   std::vector<double> alpha;
   std::vector<double> beta;  // beta[j] couples q_j and q_{j+1}
 
-  const auto orthogonalize = [&](Vector& w) {
-    for (const auto& d : deflate) axpy(-dot(d, w), d, w);
-    for (const auto& q : basis) axpy(-dot(q, w), q, w);
+  const auto project = [&](Vector& w) {
+    if (deflate != nullptr) axpy(-dot(*deflate, w), *deflate, w);
   };
 
-  // Random start vector, projected off the deflation set.
+  // Random start vector, projected off the deflation vector.
   Vector q(n);
   for (auto& value : q) value = rng.uniform_real() - 0.5;
-  orthogonalize(q);
+  project(q);
   const double q_norm = norm(q);
   util::ensures(q_norm > 1e-12, "lanczos: degenerate start vector");
   scale(q, 1.0 / q_norm);
-  basis.push_back(q);
 
+  Vector q_prev(n, 0.0);
   Vector w(n);
   double previous_extreme_low = 1e300;
   double previous_extreme_high = -1e300;
-  LanczosResult result;
 
-  for (std::size_t j = 0; j < max_iter; ++j) {
-    op.apply(basis[j], w);
-    const double a_j = dot(basis[j], w);
+  for (std::size_t j = 0;; ++j) {
+    if (options.stop.stop_requested()) {
+      throw InterruptedError("laplacian_extremes: cancelled");
+    }
+    op.apply(q, w);
+    const double a_j = dot(q, w);
     alpha.push_back(a_j);
 
-    axpy(-a_j, basis[j], w);
-    if (j > 0) axpy(-beta[j - 1], basis[j - 1], w);
-    orthogonalize(w);  // full reorthogonalization (twice is overkill here)
-    orthogonalize(w);
+    axpy(-a_j, q, w);
+    if (j > 0) axpy(-beta[j - 1], q_prev, w);
+    project(w);  // two passes: rounding in L q re-seeds the kernel
+    project(w);
 
-    result.iterations = j + 1;
     const double b_j = norm(w);
 
     // Krylov space exhausted (invariant subspace found) or budget spent:
     // the current tridiagonal matrix is final.
     if (b_j < 1e-10 || j + 1 == max_iter) {
-      result.ritz_values = tridiagonal_eigenvalues(
-          alpha, std::vector<double>(beta.begin(), beta.end()));
-      return result;
+      return {tridiagonal_extremes(alpha, beta), j + 1};
     }
 
     // Convergence probe on the extreme Ritz values every few steps.
     if (j >= 2 && j % 5 == 0) {
-      auto ritz = tridiagonal_eigenvalues(
-          alpha, std::vector<double>(beta.begin(), beta.end()));
-      const double low = ritz.front();
-      const double high = ritz.back();
+      const auto extremes = tridiagonal_extremes(alpha, beta);
       const bool converged =
-          std::fabs(low - previous_extreme_low) < options.tolerance &&
-          std::fabs(high - previous_extreme_high) < options.tolerance;
-      previous_extreme_low = low;
-      previous_extreme_high = high;
-      if (converged) {
-        result.ritz_values = std::move(ritz);
-        return result;
-      }
+          std::fabs(extremes.smallest - previous_extreme_low) <
+              options.tolerance &&
+          std::fabs(extremes.largest - previous_extreme_high) <
+              options.tolerance;
+      previous_extreme_low = extremes.smallest;
+      previous_extreme_high = extremes.largest;
+      if (converged) return {extremes, j + 1};
     }
 
     beta.push_back(b_j);
-    Vector next = w;
-    scale(next, 1.0 / b_j);
-    basis.push_back(std::move(next));
+    // q_{j+1} = w / b_j; q_j becomes q_prev; w is overwritten next step.
+    std::swap(q_prev, q);
+    std::swap(q, w);
+    scale(q, 1.0 / b_j);
   }
-
-  result.ritz_values = tridiagonal_eigenvalues(
-      alpha, std::vector<double>(beta.begin(), beta.end()));
-  return result;
 }
 
 }  // namespace
 
-std::vector<double> tridiagonal_eigenvalues(std::vector<double> diagonal,
-                                            std::vector<double> off_diagonal) {
-  // Implicit-shift QL ("tqli" without eigenvectors).
+TridiagonalExtremes tridiagonal_extremes(std::span<const double> diagonal,
+                                         std::span<const double> off_diagonal) {
   const std::size_t n = diagonal.size();
-  util::expects(off_diagonal.size() + 1 == n || (n == 0 && off_diagonal.empty()),
-                "tridiagonal_eigenvalues: off-diagonal size must be n-1");
-  if (n == 0) return {};
-  std::vector<double>& d = diagonal;
-  std::vector<double> e(std::move(off_diagonal));
-  e.push_back(0.0);
+  util::expects(n > 0 && off_diagonal.size() + 1 == n,
+                "tridiagonal_extremes: need n >= 1 and n-1 off-diagonals");
 
-  // Implicit-shift QL with deflation (Numerical Recipes "tqli" layout,
-  // eigenvalues only).
-  for (std::size_t l = 0; l < n; ++l) {
-    std::size_t iterations = 0;
-    std::size_t m;
-    do {
-      for (m = l; m + 1 < n; ++m) {
-        const double dd = std::fabs(d[m]) + std::fabs(d[m + 1]);
-        if (std::fabs(e[m]) <= 1e-15 * dd) break;
-      }
-      if (m != l) {
-        util::ensures(++iterations <= 64,
-                      "tridiagonal_eigenvalues: QL failed to converge");
-        double g = (d[l + 1] - d[l]) / (2.0 * e[l]);
-        double r = std::hypot(g, 1.0);
-        g = d[m] - d[l] + e[l] / (g + std::copysign(r, g));
-        double s = 1.0;
-        double c = 1.0;
-        double p = 0.0;
-        bool underflow = false;
-        for (std::size_t i = m; i-- > l;) {
-          double f = s * e[i];
-          const double b = c * e[i];
-          r = std::hypot(f, g);
-          e[i + 1] = r;
-          if (r == 0.0) {
-            d[i + 1] -= p;
-            e[m] = 0.0;
-            underflow = true;
-            break;
-          }
-          s = f / r;
-          c = g / r;
-          g = d[i + 1] - p;
-          r = (d[i] - g) * s + 2.0 * c * b;
-          p = s * r;
-          d[i + 1] = g + p;
-          g = c * r - b;
-        }
-        if (underflow) continue;
-        d[l] -= p;
-        e[l] = g;
-        e[m] = 0.0;
-      }
-    } while (m != l);
+  // Gershgorin interval; the largest squared coupling scales the pivot
+  // floor so that e^2 / pivot cannot overflow.
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  double max_coupling_sq = 1.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double left = i > 0 ? std::fabs(off_diagonal[i - 1]) : 0.0;
+    const double right = i + 1 < n ? std::fabs(off_diagonal[i]) : 0.0;
+    lo = std::min(lo, diagonal[i] - left - right);
+    hi = std::max(hi, diagonal[i] + left + right);
+    max_coupling_sq = std::max(max_coupling_sq, right * right);
   }
-  std::sort(d.begin(), d.end());
-  return d;
+  const double pivot_floor =
+      std::numeric_limits<double>::min() * max_coupling_sq;
+
+  // Sturm count: the number of eigenvalues below x is the number of
+  // negative pivots of the LDL^T factorization of T - xI.
+  const auto count_below = [&](double x) {
+    std::size_t count = 0;
+    double pivot = 1.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      pivot = diagonal[i] - x -
+              (i > 0 ? off_diagonal[i - 1] * off_diagonal[i - 1] / pivot : 0.0);
+      if (std::fabs(pivot) < pivot_floor) pivot = -pivot_floor;
+      if (pivot < 0.0) ++count;
+    }
+    return count;
+  };
+
+  // Bisect for the eigenvalue of rank k (0-based, ascending) down to a
+  // few ulps of the interval's magnitude.
+  const auto bisect = [&](std::size_t k) {
+    double low = lo;
+    double high = hi;
+    const double tolerance =
+        4.0 * std::numeric_limits<double>::epsilon() *
+        std::max({1.0, std::fabs(lo), std::fabs(hi)});
+    while (high - low > tolerance) {
+      const double mid = 0.5 * (low + high);
+      if (count_below(mid) > k) {
+        high = mid;
+      } else {
+        low = mid;
+      }
+    }
+    return 0.5 * (low + high);
+  };
+
+  return {bisect(0), bisect(n - 1)};
 }
 
 SpectrumResult laplacian_extremes(const Graph& g,
                                   const SpectrumOptions& options) {
-  SpectrumResult result;
-  if (g.num_nodes() == 0 || g.num_edges() == 0) return result;
-
-  const auto gcc = largest_connected_component(g);
-  const Graph& core = gcc.graph;
-  if (core.num_nodes() < 2) return result;
-
-  const LaplacianOperator op(core);
-
-  if (core.num_nodes() == 2) {
-    result.lambda1 = 2.0;
-    result.lambda_max = 2.0;
-    result.iterations = 1;
-    return result;
+  if (g.num_nodes() == 0 || g.num_edges() == 0) return {};
+  // Metrics are defined on the GCC; a connected input is used in place.
+  if (!is_connected(g)) {
+    return laplacian_extremes(largest_connected_component(g).graph, options);
   }
+  if (g.num_nodes() == 2) return {2.0, 2.0, 1};
+
+  const LaplacianOperator op(g);
 
   // λ_{n-1}: plain Lanczos — the top Ritz value.
-  const auto top = lanczos(op, {}, options);
-  result.lambda_max = top.ritz_values.back();
+  const auto top = lanczos(op, nullptr, options);
 
   // λ1: deflate the exact kernel vector; the bottom Ritz value remains.
-  const std::vector<Vector> deflate{op.kernel_vector()};
+  const Vector v0 = op.kernel_vector();
   auto opts1 = options;
   opts1.seed = options.seed + 1;
-  const auto bottom = lanczos(op, deflate, opts1);
-  result.lambda1 = std::max(0.0, bottom.ritz_values.front());
-  result.iterations = top.iterations + bottom.iterations;
-  return result;
+  const auto bottom = lanczos(op, &v0, opts1);
+  return {std::max(0.0, bottom.extremes.smallest), top.extremes.largest,
+          top.iterations + bottom.iterations};
 }
 
 }  // namespace orbis::metrics

@@ -57,7 +57,8 @@ ScalarMetrics compute_scalar_metrics(const Graph& g,
     checkpoint();
   }
   if (options.with_spectrum) {
-    const auto spectrum = laplacian_extremes(core);
+    const auto spectrum =
+        laplacian_extremes(core, SpectrumOptions{.stop = options.stop});
     result.lambda1 = spectrum.lambda1;
     result.lambda_max = spectrum.lambda_max;
     checkpoint();

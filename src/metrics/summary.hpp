@@ -33,14 +33,16 @@ struct ScalarMetrics {
 };
 
 struct SummaryOptions {
-  bool with_spectrum = true;   // Lanczos runs (skip for speed if unneeded)
+  /// λ1 and λ_{n-1} by two O(n)-memory Lanczos solves (spectrum.hpp);
+  /// off skips them and leaves both at 0.
+  bool with_spectrum = true;
   bool with_distance = true;   // exact distance histogram (batched BFS)
   bool with_s2 = true;         // 3K extraction for S2
-  /// Cooperative cancellation, polled between metric phases and, inside
-  /// the distance phase, before each 64-source BFS batch (the other
-  /// phases — 3K extraction, Lanczos — run to completion; they are each
-  /// a bounded fraction of the total).  A requested stop throws
-  /// orbis::InterruptedError.
+  /// Cooperative cancellation, polled between metric phases, inside the
+  /// distance phase before each 64-source BFS batch, and inside the
+  /// spectrum before each Lanczos step (3K extraction for S2 runs to
+  /// completion; it is a small fraction of the total).  A requested stop
+  /// throws orbis::InterruptedError.
   util::StopToken stop{};
   /// Live progress: one sample per completed phase, attempts = phases
   /// done, budget = phases enabled.  Null = silent.

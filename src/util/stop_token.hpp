@@ -10,7 +10,7 @@
 //   * the optimistic parallel committer (rewiring_parallel) polls
 //     between speculation rounds;
 //   * metrics::distance_distribution polls before each 64-source BFS
-//     batch;
+//     batch, and metrics::laplacian_extremes before each Lanczos step;
 //   * the leg driver behind gen::Pipeline (gen/checkpoint.hpp) polls
 //     before every leg and discards a leg the stop cut short, so an
 //     interrupted run stands exactly at a canonical leg boundary and

@@ -12,16 +12,21 @@ Usage:
 
   --update     rewrite REFERENCE.json from CURRENT.json (keeps only the
                filtered benchmarks) instead of comparing.
-  --normalize  divide every benchmark's current/reference ratio by the
-               MEDIAN ratio of the run before comparing.  A uniformly
-               slower machine then scores 1.0x everywhere, so the gate
-               stays meaningful on CI runners of a different class than
-               the reference recorder, and genuine improvements in a
+  --normalize  divide every timed benchmark's current/reference ratio by
+               the MEDIAN ratio of the run's timed benchmarks before
+               comparing.  A uniformly slower machine then scores 1.0x
+               everywhere, so the gate stays meaningful on CI runners of
+               a different class than the reference recorder, and
+               genuine improvements in a
                minority of benchmarks do not drag the others below the
                band (the median ignores them).  The cost is that a
                regression hitting MOST guarded benchmarks equally
                cancels out — run without --normalize on the reference
                machine to catch those.
+
+Deterministic benchmarks (DETERMINISTIC: the convergence counts, whose
+"time" is an attempt count) are not timings: they are left out of the
+median and their EXACT_COUNTERS must equal the reference exactly.
 
 The tolerance can also be set via the BENCH_TOLERANCE environment
 variable.
@@ -37,7 +42,12 @@ import sys
 DEFAULT_FILTER = (r"RewiringStep|Target2KAttempts|Randomize2KAttempts"
                   r"|DkStateSwap|EvaluateSwap3K|Parallel3K|Sparse2KTarget"
                   r"|StreamingExtract|FlatTableProbe|TelemetryCounter"
-                  r"|DistanceDistribution|ConvergenceAttemptsToEps")
+                  r"|DistanceDistribution|LanczosExtremes"
+                  r"|ConvergenceAttemptsToEps")
+
+# Work counts, not timings: equal to the reference or the gate fails.
+DETERMINISTIC = re.compile(r"ConvergenceAttemptsToEps")
+EXACT_COUNTERS = ("attempts", "converged")
 
 
 def load_benchmarks(path, name_filter):
@@ -100,6 +110,15 @@ def main():
     ratios = {}
     scores = {}
     for name in shared:
+        if DETERMINISTIC.search(name):
+            for counter in EXACT_COUNTERS:
+                ref_value = reference[name].get(counter)
+                cur_value = current[name].get(counter)
+                if ref_value != cur_value:
+                    failures.append(
+                        f"{name}: {counter} {cur_value} != reference "
+                        f"{ref_value} (deterministic, must match exactly)")
+            continue
         ref_score, ref_unit = score(reference[name])
         cur_score, cur_unit = score(current[name])
         if ref_unit != cur_unit:
@@ -120,6 +139,10 @@ def main():
 
     print(f"{'benchmark':<40} {'reference':>14} {'current':>14} {'ratio':>8}")
     for name in shared:
+        if DETERMINISTIC.search(name):
+            print(f"{name:<40} {str(reference[name].get('attempts')):>14} "
+                  f"{str(current[name].get('attempts')):>14} {'exact':>8}")
+            continue
         if name not in ratios:
             continue
         ref_score, cur_score, unit = scores[name]
