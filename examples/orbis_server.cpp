@@ -3,6 +3,9 @@
 //
 //   orbis_server [--workers N] [--cache-dir DIR]
 //
+// --workers sets the server's dispatch threads (svc::ServerOptions);
+// every rewiring chain inside a job is serial.
+//
 // Speaks line-delimited JSON: one flat-JSON request per stdin line, one
 // JSON event per stdout line (compact, flushed per line so pipes see
 // events as they happen).  stderr carries nothing in normal operation.
@@ -13,7 +16,7 @@
 //   {"op":"extract","path":"g.edges","out":"prefix","d":3,
 //    "trust_simple":false,"tag":"e1"}
 //   {"op":"generate","target":"prefix","out":"out.edges","d":2,
-//    "seed":1,"chains":1,"workers":1,"attempts":0,
+//    "seed":1,"chains":1,"attempts":0,
 //    "attempts_per_edge":0,"temperature":0}
 //   {"op":"metrics","path":"g.edges","spectrum":true,"distance":true,
 //    "s2":true}
@@ -150,12 +153,10 @@ JobRequest parse_submit(const wire::Object& request, const std::string& op) {
     job.with_s2 = wire::get_bool(request, "s2", true);
   }
   job.ctx.seed = static_cast<std::uint64_t>(wire::get_int(request, "seed", 1));
-  // Service defaults lean interactive: one chain, serial evaluation —
-  // explicit knobs scale up, never surprise autotune fan-out.
+  // Service defaults lean interactive: one chain — explicit knobs scale
+  // up, never surprise autotune fan-out.
   job.ctx.chains =
       static_cast<std::size_t>(wire::get_int(request, "chains", 1));
-  job.ctx.workers =
-      static_cast<std::size_t>(wire::get_int(request, "workers", 1));
   job.ctx.memory_budget_mb = static_cast<std::size_t>(
       wire::get_int(request, "memory_budget_mb", 512));
   return job;

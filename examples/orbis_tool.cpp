@@ -13,10 +13,7 @@
 //       method:                    --method {stochastic,pseudograph,
 //                                            matching,targeting}
 //       parallelism:               --chains N (annealing chains; default 0 =
-//                                  one per core), --workers N (speculative
-//                                  evaluation workers for single-chain d=3
-//                                  targeting and --like d=3 randomizing;
-//                                  default 1 = serial, 0 = all cores)
+//                                  one per core; every chain is serial)
 //       proposal moves:            --move {swap,trade,mixed} (double-edge
 //                                  swaps, Curveball neighborhood trades, or
 //                                  a mix; docs/rewiring.md)
@@ -463,11 +460,15 @@ int cmd_generate(const util::ArgParser& args) {
   // The CLI is a thin client of the unified entry-point contract
   // (svc/run_context.hpp): every cross-cutting knob resolves into ONE
   // RunContext, and the library calls below take it whole instead of
-  // each path re-plumbing seed/workers/stop/progress by hand.
+  // each path re-plumbing seed/stop/progress by hand.
+  if (args.has_flag("--workers")) {
+    throw std::invalid_argument(
+        "--workers was removed: every 3K chain is serial (--chains N runs "
+        "N chains in parallel)");
+  }
   svc::RunContext ctx;
   ctx.seed = static_cast<std::uint64_t>(args.get_int("--seed", 1));
   ctx.chains = parse_count(args, "--chains", 0);
-  ctx.workers = parse_count(args, "--workers", 1);
   {
     const long long budget_mb = args.get_int("--memory-budget-mb", 512);
     if (budget_mb > 0) {
@@ -502,14 +503,13 @@ int cmd_generate(const util::ArgParser& args) {
     }
     // dK-randomizing rewiring of an original graph, through the
     // context overload: dk_random_like seeds from ctx and applies its
-    // workers/stop/progress — bit-identical to the historical
-    // hand-wired randomize(..., rng) call with the same seed.
+    // stop/progress — bit-identical to a hand-wired randomize(..., rng)
+    // call with the same seed.
     const Graph original = load(like, /*gcc=*/false);
     gen::RandomizeOptions options;
     options.move = move;
     record_config("like", like);
     record_config("move", gen::to_string(move));
-    record_config("workers", std::to_string(ctx.workers));
     set_phase("randomize " + std::to_string(d) + "k");
     gen::RewiringStats stats;
     const auto stage_start = std::chrono::steady_clock::now();
@@ -562,7 +562,7 @@ int cmd_generate(const util::ArgParser& args) {
         parse_method(args.get_string("--method", "matching"));
     if (d == 3) options.method = gen::Method::targeting;
     options.targeting.move = move;
-    // One call wires workers/budget/stop/progress (the context carries
+    // One call wires budget/stop/progress (the context carries
     // them); the objective flag keeps its own parse because the backend
     // CHOICE is algorithm configuration, not execution context.
     options.targeting.apply(ctx);
@@ -570,7 +570,6 @@ int cmd_generate(const util::ArgParser& args) {
     record_config("method", options.method == gen::Method::targeting
                                 ? "targeting"
                                 : args.get_string("--method", "matching"));
-    record_config("workers", std::to_string(ctx.workers));
     const bool targeting =
         options.method == gen::Method::targeting && (d == 2 || d == 3);
     if (targeting) {
@@ -683,9 +682,8 @@ int main(int argc, char** argv) {
   const util::ArgParser args(
       argc, argv,
       {"--seed", "--buffer-kb", "--d", "--out", "--like", "--from-1k",
-       "--from-2k", "--from-3k", "--method", "--chains", "--workers",
-       "--objective", "--memory-budget-mb", "--dot", "--nodes",
-       "--checkpoint", "--resume",
+       "--from-2k", "--from-3k", "--method", "--chains", "--objective",
+       "--memory-budget-mb", "--dot", "--nodes", "--checkpoint", "--resume",
        "--stop-after-checkpoints", "--report", "--trace", "--move",
        "--ladder", "--exchange-every"});
   if (args.positional().empty()) return usage();

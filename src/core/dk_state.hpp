@@ -147,7 +147,7 @@ class DkState {
   /// common neighbors.  evaluate_swap reads only const state plus one
   /// scratch, so any number of threads may evaluate proposals
   /// concurrently against the SAME DkState as long as each brings its
-  /// own scratch (the optimistic batching protocol of docs/parallel.md).
+  /// own scratch.
   /// Every field is left reusable by the next evaluation (class_net all
   /// zero), on this state or another; reuse one scratch to keep it warm.
   struct EvalScratch {
@@ -240,8 +240,8 @@ class DkState {
   // MUTATING paths (add_edge/remove_edge/init): a node is "marked" iff
   // mark_[v] carries the current stamp, so clearing between passes is a
   // counter increment, not an O(n) sweep.  Also serves, via scratch_, the
-  // internal-scratch evaluate_swap overload; parallel evaluation brings
-  // external EvalScratch instances instead and never touches these.
+  // internal-scratch evaluate_swap overload; callers that bring an
+  // external EvalScratch never touch these.
   mutable std::vector<std::uint64_t> mark_;
   mutable std::uint64_t mark_stamp_ = 0;
   mutable EvalScratch scratch_;  // backs the two-argument evaluate_swap

@@ -62,15 +62,11 @@ std::uint64_t next_leg(const RunCheckpoint& state, std::uint64_t done) {
 class LegRunner {
  public:
   LegRunner(const RunCheckpoint& state, const dk::DkDistributions& target,
-            const TargetingOptions& options, util::StopToken stop,
-            exec::ThreadPool& pool)
-      : state_(state), target_(target), options_(options), pool_(pool) {
+            const TargetingOptions& options, util::StopToken stop)
+      : state_(state), target_(target), options_(options) {
     options_.objective = state.backend;  // pinned at run start
     options_.move = state.move;          // pinned: part of run identity
     options_.stop = stop;                // mid-leg bail; leg is discarded
-    // One chain alone may farm its 3K proposals out to the pool; several
-    // chains already occupy it and stay serial.
-    if (state.chains.size() > 1) options_.workers = 1;
   }
 
   void operator()(ChainCheckpoint& chain, std::uint64_t leg,
@@ -88,8 +84,8 @@ class LegRunner {
       chain.edges = engine.index().edges();
     } else {
       ThreeKRewirer rewirer(state_.nodes, std::move(chain.edges));
-      chain.distance = rewirer.target_with_workers(
-          target_.three_k, chain_options, leg, rng, pool_, &chain.stats);
+      chain.distance = rewirer.target(target_.three_k, chain_options, leg,
+                                      rng, &chain.stats);
       chain.edges = rewirer.index().edges();
     }
     chain.rng_state = rng.state_words();
@@ -99,7 +95,6 @@ class LegRunner {
   const RunCheckpoint& state_;
   const dk::DkDistributions& target_;
   TargetingOptions options_;
-  exec::ThreadPool& pool_;
 };
 
 /// Advances every chain leg by leg up to `until` attempts, each chain in
@@ -200,7 +195,7 @@ CheckpointedResult run_checkpointed(RunCheckpoint& state,
   exec::ThreadPool& pool = checkpointing.pool != nullptr
                                ? *checkpointing.pool
                                : exec::shared_pool();
-  const LegRunner run_leg(state, target, options, stop, pool);
+  const LegRunner run_leg(state, target, options, stop);
 
   // Metrics publish per-leg DELTAS against these baselines, so a
   // resumed run never re-counts work a previous process already ran.

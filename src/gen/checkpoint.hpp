@@ -197,9 +197,7 @@ RunCheckpoint make_run(int d, const Graph& start,
 /// boundary.  `options` must carry the same chain parameters
 /// (temperature, guided_fraction, stop_distance, ...) the run was
 /// started with; attempts/attempts_per_edge, objective and move are
-/// taken from `state`, which is authoritative.  A single-chain 3K stage
-/// with options.workers != 1 runs the speculative engine
-/// (docs/parallel.md); every other chain runs serially.
+/// taken from `state`, which is authoritative.
 CheckpointedResult run_checkpointed(RunCheckpoint& state,
                                     const dk::DkDistributions& target,
                                     const TargetingOptions& options,

@@ -98,12 +98,6 @@ Graph generate_dk_random(const dk::DkDistributions& target, int d,
   return generate(target, d, options, ctx.chains, rng);
 }
 
-Graph dk_random_like(const Graph& original, int d, util::Rng& rng) {
-  RandomizeOptions options;
-  options.d = d;
-  return randomize(original, options, rng);
-}
-
 Graph dk_random_like(const Graph& original, int d,
                      const svc::RunContext& ctx) {
   return dk_random_like(original, d, RandomizeOptions{}, ctx);

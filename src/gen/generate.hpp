@@ -54,25 +54,18 @@ Graph generate_dk_random(const dk::DkDistributions& target, int d,
 
 /// Context form — the unified entry-point contract (docs/service.md):
 /// seeds from ctx.seed, runs ctx.chains chains (0 = autotune), applies
-/// ctx's workers/budget/stop/progress over `options.targeting`.
+/// ctx's budget/stop/progress over `options.targeting`.  Throws
+/// std::invalid_argument unless ctx.workers == 1.
 /// Cancellation: a stop discards each chain's partial leg and the call
 /// returns the best graph at the chains' last leg boundaries (check
 /// ctx.stop.stop_requested() to tell) — the 1K seed if no leg completed.
 Graph generate_dk_random(const dk::DkDistributions& target, int d,
                          GenerateOptions options, const svc::RunContext& ctx);
 
-/// Convenience: extract target distributions from an original graph and
-/// build the d-level random counterpart with the default method chain.
-/// DEPRECATED (one-release shim): uncancellable and progress-blind;
-/// prefer one of the overloads below.
-ORBIS_DEPRECATED(
-    "use dk_random_like(original, d, ctx) — this overload cannot be "
-    "cancelled and reports no progress")
-Graph dk_random_like(const Graph& original, int d, util::Rng& rng);
-
-/// Context form: dK-randomizing rewiring of `original` under the
-/// unified contract — cancellable via ctx.stop (returns the partially
-/// rewired graph on stop), progress-reporting via ctx.progress.
+/// dK-randomizing rewiring of `original` (gen::randomize at level d)
+/// under the unified contract — cancellable via ctx.stop (returns the
+/// partially rewired graph on stop), progress-reporting via
+/// ctx.progress.
 Graph dk_random_like(const Graph& original, int d,
                      const svc::RunContext& ctx);
 

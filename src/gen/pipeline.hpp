@@ -79,8 +79,8 @@ class Pipeline {
 
   /// Resume from a checkpoint: no bootstrap, the state is authoritative
   /// (budget, cadence, chains, move, ladder).  `options` must carry the
-  /// run's chain parameters (temperature, guided_fraction, workers,
-  /// ...); its stop/progress apply to this process.
+  /// run's chain parameters (temperature, guided_fraction, ...); its
+  /// stop/progress apply to this process.
   Pipeline(const dk::DkDistributions& target, RunCheckpoint resumed,
            const TargetingOptions& options);
 

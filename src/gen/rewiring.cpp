@@ -123,17 +123,8 @@ Graph randomize(const Graph& g, const RandomizeOptions& options,
       util::expects(options.move == MoveKind::swap,
                     "randomize: d = 3 supports only --move swap");
       ThreeKRewirer rewirer(g);
-      if (options.workers != 1) {
-        const SpeculationOptions speculation{
-            .workers = exec::resolve_workers(options.workers),
-            .batch = options.batch};
-        rewirer.randomize_parallel(budget, rng, exec::shared_pool(),
-                                   speculation, stats, options.stop,
-                                   options.progress, options.progress_lane);
-      } else {
-        rewirer.randomize(budget, rng, stats, options.stop, options.progress,
-                          options.progress_lane);
-      }
+      rewirer.randomize(budget, rng, stats, options.stop, options.progress,
+                        options.progress_lane);
       out = rewirer.graph();
     }
   }
@@ -168,8 +159,8 @@ Graph target_3k(const Graph& start, const dk::ThreeKProfile& target,
   if (stats == nullptr) stats = &local_stats;
   const RewiringStats before = *stats;
   ThreeKRewirer rewirer(start);
-  const std::int64_t distance = rewirer.target_with_workers(
-      target, options, budget, rng, exec::shared_pool(), stats);
+  const std::int64_t distance =
+      rewirer.target(target, options, budget, rng, stats);
   publish_rewiring_metrics(stats->delta_since(before));
   if (final_distance != nullptr) {
     *final_distance = static_cast<double>(distance);

@@ -41,10 +41,9 @@ struct RewiringStats {
   std::uint64_t rejected_structural = 0;  // loops/duplicates/no-ops
   std::uint64_t rejected_constraint = 0;  // would break P_{d'}
   std::uint64_t rejected_objective = 0;   // distance/objective worsened
-  /// Parallel batching only: proposals whose speculative verdict was
-  /// invalidated by an earlier commit in the same round and had to be
-  /// re-evaluated serially.  Not part of the attempts partition (each
-  /// such proposal still resolves into exactly one bucket above).
+  /// Always 0: counted proposals re-evaluated by the deleted speculative
+  /// 3K engine.  Kept because checkpoint files (v1-v3) and the run
+  /// report schema carry the field.
   std::uint64_t conflict_reevaluations = 0;
 
   double acceptance_rate() const {
@@ -120,21 +119,10 @@ struct RandomizeOptions {
   int d = 2;                           // series level to preserve, 0..3
   std::size_t attempts_per_edge = 10;  // attempt budget = this * m
   std::size_t attempts = 0;            // explicit budget (overrides if > 0)
-  /// DEPRECATED (one-release shim, svc/run_context.hpp): prefer
-  /// carrying workers in a svc::RunContext and calling apply(ctx).
-  /// Optimistic parallel evaluation workers for the d = 3 path (other
-  /// levels ignore it): 1 = classic serial chain; 0 = all cores; > 1 =
-  /// that many evaluation tasks on the shared thread pool.  Results are
-  /// a pure function of (seed, batch), NOT of the worker count — see
-  /// docs/parallel.md.
-  std::size_t workers = 1;
-  std::size_t batch = 256;  // proposals per speculation round (workers != 1)
-  /// DEPRECATED (one-release shim): prefer svc::RunContext::stop.
   /// Cooperative cancellation (util/stop_token.hpp): the chain polls the
-  /// token at batch boundaries and returns early — with whatever graph
+  /// token every 1024 attempts and returns early — with whatever graph
   /// it has — once a stop is requested.  Default token never stops.
   util::StopToken stop{};
-  /// DEPRECATED (one-release shim): prefer svc::RunContext::progress.
   /// Optional live-progress observer (obs/progress.hpp), called at the
   /// SAME batch boundaries where `stop` is polled.  Sinks only read the
   /// sample, so chains are bit-identical with or without one.
@@ -147,11 +135,11 @@ struct RandomizeOptions {
   double trade_fraction = 0.25;  ///< P(trade) per attempt in mixed mode
 
   /// Copies the shared execution context over this struct's duplicated
-  /// knobs (workers/stop/progress) — THE way context-taking overloads
-  /// resolve options, so a context call and a hand-filled legacy call
-  /// run bit-identical chains.
-  void apply(const svc::RunContext& ctx) noexcept {
-    workers = ctx.workers;
+  /// knobs (stop/progress) — THE way context-taking overloads resolve
+  /// options, so a context call and a hand-filled call run bit-identical
+  /// chains.  Throws std::invalid_argument unless ctx.workers == 1.
+  void apply(const svc::RunContext& ctx) {
+    ctx.expect_serial();
     stop = ctx.stop;
     progress = ctx.progress;
   }
@@ -179,35 +167,21 @@ struct TargetingOptions {
   /// large graphs; guided proposals fix the endgame.  Ignored by
   /// target_3k.
   double guided_fraction = 0.5;
-  /// DEPRECATED (one-release shim, svc/run_context.hpp): prefer
-  /// svc::RunContext::workers + apply(ctx).
-  /// Optimistic parallel evaluation workers for target_3k (the 2K path
-  /// ignores it — its O(1) integer ΔD2 leaves nothing worth farming
-  /// out): 1 = serial chain; 0 = all cores.  A gen::Pipeline honors it
-  /// only when it runs a single chain — several chains already occupy
-  /// the pool.  Results are a pure function of (seed, batch),
-  /// independent of the worker count.
-  std::size_t workers = 1;
-  std::size_t batch = 256;  // proposals per speculation round (workers != 1)
   /// 2K objective storage (objective_backend.hpp, docs/scaling.md):
   /// `automatic` uses the dense C^2 difference matrix while it fits
   /// `memory_budget_mb` and the sparse occupied-bin table past it; both
   /// backends drive bit-identical chains, so forcing one is only ever a
   /// memory/speed trade.  CLI: orbis_tool --objective / --memory-budget-mb.
   ObjectiveBackend objective = ObjectiveBackend::automatic;
-  /// DEPRECATED (one-release shim, svc/run_context.hpp): prefer
-  /// svc::RunContext::memory_budget_mb + apply(ctx).
+  /// Context entry points copy svc::RunContext::memory_budget_mb here.
   std::size_t memory_budget_mb = 512;
-  /// DEPRECATED (one-release shim): prefer svc::RunContext::stop.
   /// Cooperative cancellation (util/stop_token.hpp): chains poll the
-  /// token at batch boundaries (serial paths every 1024 attempts, the
-  /// speculative path between rounds) and return early with the current
-  /// graph and distance.  A cancelled chain's result is usable but NOT
+  /// token every 1024 attempts and return early with the current graph
+  /// and distance.  A cancelled chain's result is usable but NOT
   /// comparable to an uninterrupted run's; checkpointed drivers
   /// (gen/checkpoint.hpp) discard mid-leg partial work instead, so
   /// their resume determinism is unaffected.  Default token never stops.
   util::StopToken stop{};
-  /// DEPRECATED (one-release shim): prefer svc::RunContext::progress.
   /// Optional live-progress observer (obs/progress.hpp), called at the
   /// SAME batch boundaries where `stop` is polled.  Sinks only read the
   /// sample, so chains are bit-identical with or without one.
@@ -216,15 +190,14 @@ struct TargetingOptions {
   /// Proposal move mix (MoveKind above).  In 2K targeting a trade is
   /// D2-neutral (pure mixing, useful against plateau stalls); in 3K
   /// targeting it is priced exactly and Metropolis-accepted on the
-  /// total ΔD3.  The speculative parallel 3K path (workers != 1) is
-  /// swap-only and rejects other moves.
+  /// total ΔD3.
   MoveKind move = MoveKind::swap;
   double trade_fraction = 0.25;  ///< P(trade) per attempt in mixed mode
 
   /// Copies the shared execution context over this struct's duplicated
-  /// knobs (workers/memory budget/stop/progress); see RandomizeOptions.
-  void apply(const svc::RunContext& ctx) noexcept {
-    workers = ctx.workers;
+  /// knobs (memory budget/stop/progress); see RandomizeOptions.
+  void apply(const svc::RunContext& ctx) {
+    ctx.expect_serial();
     memory_budget_mb = ctx.memory_budget_mb;
     stop = ctx.stop;
     progress = ctx.progress;

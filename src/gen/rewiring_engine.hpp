@@ -30,10 +30,6 @@
 #include "graph/edge_index.hpp"
 #include "util/rng.hpp"
 
-namespace orbis::exec {
-class ThreadPool;
-}
-
 namespace orbis::gen {
 
 /// A candidate double-edge swap: (a,b),(c,d) -> (a,d),(c,b).
@@ -101,18 +97,6 @@ class RewiringEngine {
   EdgeIndex index_;
 };
 
-/// Tuning of the optimistic intra-chain batching (docs/parallel.md):
-/// proposals are drawn serially in rounds of `batch`, evaluated
-/// speculatively in parallel by up to `workers` pool tasks, and committed
-/// serially in draw order with endpoint/bin conflict re-evaluation.  The
-/// outcome is a pure function of (rng, batch) — `workers`, the pool size
-/// and thread scheduling are all unobservable — so a fixed seed and batch
-/// reproduce bit-identical chains at ANY thread count.
-struct SpeculationOptions {
-  std::size_t workers = 0;  // evaluation tasks per round; 0 = pool size
-  std::size_t batch = 256;  // proposals drawn per round (determinism knob)
-};
-
 /// 3K machinery: one EdgeIndex for adjacency + candidate selection,
 /// with a DkState bound to it for the wedge/triangle bookkeeping.
 class ThreeKRewirer {
@@ -149,49 +133,12 @@ class ThreeKRewirer {
   void explore(ExploreObjective objective, std::size_t budget,
                double stop_at, util::Rng& rng, RewiringStats* stats);
 
-  /// Optimistic parallel variants of randomize()/target(): worker tasks
-  /// on `pool` evaluate batches of proposals speculatively (per-task
-  /// DkState::EvalScratch, const state), a serial committer applies
-  /// non-conflicting accepted swaps in draw order and re-evaluates
-  /// conflicted ones, so acceptance semantics match a serial pass over
-  /// the same proposal stream.  Must not be called from inside a task of
-  /// `pool` (e.g. a chain body of a multichain run on the shared pool).
-  void randomize_parallel(std::size_t budget, util::Rng& rng,
-                          exec::ThreadPool& pool,
-                          const SpeculationOptions& speculation,
-                          RewiringStats* stats, util::StopToken stop = {},
-                          obs::ProgressSink* progress = nullptr,
-                          std::uint32_t progress_lane = 0);
-  std::int64_t target_parallel(const dk::ThreeKProfile& target,
-                               const TargetingOptions& options,
-                               std::size_t budget, util::Rng& rng,
-                               exec::ThreadPool& pool,
-                               const SpeculationOptions& speculation,
-                               RewiringStats* stats);
-
-  /// target() or target_parallel(), as `options.workers` selects: the
-  /// speculative engine on `pool` when workers != 1 (swap moves only),
-  /// the serial chain otherwise.
-  std::int64_t target_with_workers(const dk::ThreeKProfile& target,
-                                   const TargetingOptions& options,
-                                   std::size_t budget, util::Rng& rng,
-                                   exec::ThreadPool& pool,
-                                   RewiringStats* stats);
-
   Graph graph() const { return state_.to_graph(); }
   const EdgeIndex& index() const noexcept { return index_; }
   const dk::DkState& state() const noexcept { return state_; }
 
  private:
   bool draw_candidate(util::Rng& rng, Swap& swap) const;
-  /// Shared engine of the two *_parallel entry points (target == nullptr
-  /// selects randomizing mode); defined in rewiring_parallel.cpp.
-  std::int64_t run_speculative(const dk::ThreeKProfile* target,
-                               const TargetingOptions& options,
-                               std::size_t budget, util::Rng& rng,
-                               exec::ThreadPool& pool,
-                               const SpeculationOptions& speculation,
-                               RewiringStats* stats);
 
   EdgeIndex index_;     // the ONLY adjacency structure for all 3K modes
   dk::DkState state_;   // bound to index_; declared after it

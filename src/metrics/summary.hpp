@@ -50,7 +50,9 @@ struct SummaryOptions {
   std::uint32_t progress_lane = 0;
 
   /// Adopts the shared execution context (svc/run_context.hpp).
-  void apply(const svc::RunContext& ctx) noexcept {
+  /// Throws std::invalid_argument unless ctx.workers == 1.
+  void apply(const svc::RunContext& ctx) {
+    ctx.expect_serial();
     stop = ctx.stop;
     progress = ctx.progress;
   }

@@ -77,7 +77,6 @@ struct Server::Job {
   JobClass cls = JobClass::interactive;
   std::atomic<bool> cancelled{false};
   util::StopSource stop;
-  obs::Registry registry;  // per-job scrape (RunContext::metrics)
   std::unique_ptr<EventProgressSink> progress;
   JobInfo info;  // guarded by Server::mutex_ once workers run
   bool started = false;
@@ -157,12 +156,11 @@ std::uint64_t Server::submit(JobRequest request) {
     job->cls = job->request.kind == JobKind::generate ? JobClass::batch
                                                       : JobClass::interactive;
     // The server owns the job's execution context wiring: its stop
-    // source, its event-forwarding progress sink, its registry.
+    // source and its event-forwarding progress sink.
     job->request.ctx.stop = job->stop.token();
     job->progress = std::make_unique<EventProgressSink>(
         [this](const JobEvent& event) { emit(event); }, id);
     job->request.ctx.progress = job->progress.get();
-    job->request.ctx.metrics = &job->registry;
     job->info.id = id;
     job->info.kind = job->request.kind;
     job->info.state = JobState::queued;

@@ -10,8 +10,8 @@
 //     configuration the cache and fairness tests rely on);
 //   * a DkCache (svc/dk_cache.hpp) shared by every extract job;
 //   * a job table: per job a svc::RunContext (seed, StopToken from the
-//     job's own StopSource, a per-job metrics Registry, a progress
-//     adapter that re-emits samples as events), state, and results.
+//     job's own StopSource, a progress adapter that re-emits samples as
+//     events), state, and results.
 //
 // Job model.  Extract and metrics jobs are INTERACTIVE: one slice,
 // start to finish.  Generate jobs are BATCH: each one owns a
@@ -76,9 +76,8 @@ struct JobRequest {
   std::string input_path;
   std::string output;
   int d = 3;
-  /// Execution context: seed (generate), stop/progress/metrics are
-  /// OWNED by the server per job — caller-set stop/progress/metrics
-  /// fields are ignored.
+  /// Execution context: seed (generate); stop/progress are OWNED by the
+  /// server per job — caller-set stop/progress fields are ignored.
   RunContext ctx{};
   /// extract: trusted-simple input (dk::StreamingOptions).
   bool assume_simple = false;

@@ -5,10 +5,8 @@
 // boundaries.  The library never blocks on cancellation — a stop
 // request is honored at the next polling point:
 //
-//   * the serial rewiring chains (RewiringEngine::target_2k/randomize,
-//     ThreeKRewirer::target/randomize) poll every few thousand attempts;
-//   * the optimistic parallel committer (rewiring_parallel) polls
-//     between speculation rounds;
+//   * the rewiring chains (RewiringEngine::target_2k/randomize,
+//     ThreeKRewirer::target/randomize) poll every 1024 attempts;
 //   * metrics::distance_distribution polls before each 64-source BFS
 //     batch, and metrics::laplacian_extremes before each Lanczos step;
 //   * the leg driver behind gen::Pipeline (gen/checkpoint.hpp) polls

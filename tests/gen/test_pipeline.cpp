@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "core/series.hpp"
 #include "exec/thread_pool.hpp"
@@ -206,29 +205,27 @@ TEST_F(PipelineTest, StepsAndRunWalkTheSameChains) {
   }
 }
 
-TEST_F(PipelineTest, SingleChainSpeculativeStageIsStepAndPoolInvariant) {
-  // One chain with workers != 1 farms its 3K proposals out to the pool
-  // (the speculative engine); its bytes still ignore barriers and the
-  // pool size.
-  TargetingOptions options = options_;
-  options.workers = 2;
-  const auto run_on = [&](std::size_t threads, bool stepped) {
-    exec::ThreadPool pool(threads);
-    util::Rng rng(12);
-    Pipeline pipeline(target_, 3, options, /*chains=*/1, rng);
-    while (!pipeline.finished()) {
-      EXPECT_TRUE(stepped ? pipeline.step(&pool) : pipeline.run(&pool));
-    }
-    return pipeline.graph().edges();
-  };
-  const auto whole = run_on(4, false);
-  EXPECT_EQ(run_on(4, true), whole);
-  EXPECT_EQ(run_on(1, false), whole);
-
-  options.move = MoveKind::trade;  // the speculative engine is swap-only
-  util::Rng rng(12);
-  Pipeline trades(target_, 3, options, /*chains=*/1, rng);
-  EXPECT_THROW(trades.run(), std::invalid_argument);
+TEST_F(PipelineTest, SingleChainThreeKStageIsStepAndPoolInvariant) {
+  // One chain runs its legs as one pool task, or inline on a 1-thread
+  // pool; either way, and with or without a barrier per leg, the 3K
+  // stage walks the same serial chain.  Trades included: the serial
+  // chain prices them exactly.
+  for (const MoveKind move : {MoveKind::swap, MoveKind::trade}) {
+    TargetingOptions options = options_;
+    options.move = move;
+    const auto run_on = [&](std::size_t threads, bool stepped) {
+      exec::ThreadPool pool(threads);
+      util::Rng rng(12);
+      Pipeline pipeline(target_, 3, options, /*chains=*/1, rng);
+      while (!pipeline.finished()) {
+        EXPECT_TRUE(stepped ? pipeline.step(&pool) : pipeline.run(&pool));
+      }
+      return pipeline.graph().edges();
+    };
+    const auto whole = run_on(4, false);
+    EXPECT_EQ(run_on(4, true), whole) << to_string(move);
+    EXPECT_EQ(run_on(1, false), whole) << to_string(move);
+  }
 }
 
 TEST_F(PipelineTest, PreRequestedStopReturnsTheSeed) {

@@ -330,6 +330,13 @@ TEST(RewiringStats, CountersPartitionAttemptsAcrossModes) {
   explore(original, ExploreObjective::maximize_clustering, exploring, rng,
           &explore_stats);
   expect_stats_partition_attempts(explore_stats);
+
+  const auto dists = dk::extract(original, 3);
+  const auto start_2k = matching_2k(dists.joint, rng);
+  RewiringStats target_3k_stats;
+  target_3k(start_2k, dists.three_k, targeting, rng, &target_3k_stats);
+  expect_stats_partition_attempts(target_3k_stats);
+  EXPECT_GT(target_3k_stats.accepted, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -372,6 +379,36 @@ TEST(Determinism, Target2kIsReproducibleEdgeForEdge) {
                            &distance_b);
   EXPECT_EQ(a.edges(), b.edges());
   EXPECT_EQ(distance_a, distance_b);
+}
+
+TEST(Determinism, Target3kIsReproducibleEdgeForEdge) {
+  // Greedy descent draws no acceptance uniforms; T > 0 draws one per
+  // valid proposal.  Both must be a pure function of the seed, and both
+  // must keep the JDD swap for swap.
+  const auto original = test_graph(315);
+  const auto dists = dk::extract(original, 3);
+  util::Rng seed_rng(316);
+  const auto start = matching_2k(dists.joint, seed_rng);
+  for (const double temperature : {0.0, 2.0}) {
+    TargetingOptions options;
+    options.temperature = temperature;
+    options.attempts = 6000;
+    util::Rng rng_a(317);
+    RewiringStats stats_a;
+    double distance_a = -1.0;
+    const auto a = target_3k(start, dists.three_k, options, rng_a, &stats_a,
+                             &distance_a);
+    util::Rng rng_b(317);
+    RewiringStats stats_b;
+    double distance_b = -1.0;
+    const auto b = target_3k(start, dists.three_k, options, rng_b, &stats_b,
+                             &distance_b);
+    EXPECT_EQ(a.edges(), b.edges()) << "T " << temperature;
+    EXPECT_EQ(distance_a, distance_b) << "T " << temperature;
+    EXPECT_EQ(stats_a, stats_b) << "T " << temperature;
+    EXPECT_EQ(dk::JointDegreeDistribution::from_graph(a), dists.joint)
+        << "T " << temperature;
+  }
 }
 
 // Hub stress for the speculative delta journal: node 0 has ~60 neighbors

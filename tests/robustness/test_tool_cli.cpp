@@ -173,6 +173,15 @@ TEST_F(ToolCliTest, LadderOfOneExitsUsage) {
             2);
 }
 
+TEST_F(ToolCliTest, RemovedWorkersFlagExitsUsage) {
+  // Every 3K chain is serial; a leftover --workers must fail loudly, not
+  // run something else than the caller asked for.
+  EXPECT_EQ(run("generate --d 3 --like '" + path("g.edges") +
+                "' --workers 2 --out '" + path("x.edges") + "'"),
+            2);
+  EXPECT_FALSE(fs::exists(path("x.edges")));
+}
+
 TEST_F(ToolCliTest, CorruptCheckpointExitsParse) {
   std::ofstream(path("corrupt.ck")) << "# orbis checkpoint v1\nd 9\n";
   EXPECT_EQ(run("generate --d 2 --method targeting --from-2k '" +

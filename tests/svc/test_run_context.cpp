@@ -1,10 +1,11 @@
 // The unified entry-point contract (src/svc/run_context.hpp): the
-// context-taking overloads are bit-identical to the legacy
-// hand-plumbed calls, cancellation flows through ctx.stop, and
-// progress flows through ctx.progress with the caller's lane.
+// context-taking overloads are bit-identical to the hand-plumbed calls,
+// cancellation flows through ctx.stop, progress flows through
+// ctx.progress with the caller's lane, and workers != 1 is rejected.
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <stdexcept>
 #include <vector>
 
 #include "core/series.hpp"
@@ -37,14 +38,6 @@ TEST(RunContext, MakeRngIsAPureFunctionOfTheSeed) {
   }
 }
 
-TEST(RunContext, RegistryResolvesToGlobalWhenUnset) {
-  RunContext ctx;
-  EXPECT_EQ(&ctx.registry(), &obs::Registry::global());
-  obs::Registry own;
-  ctx.metrics = &own;
-  EXPECT_EQ(&ctx.registry(), &own);
-}
-
 TEST(RunContext, GenerateContextOverloadMatchesLegacyCall) {
   const Graph original = sample_graph(3);
   const dk::DkDistributions target = dk::extract(original, 2);
@@ -66,17 +59,44 @@ TEST(RunContext, GenerateContextOverloadMatchesLegacyCall) {
   EXPECT_EQ(from_ctx.edges(), from_legacy.edges());
 }
 
-TEST(RunContext, DkRandomLikeContextOverloadMatchesLegacyCall) {
+TEST(RunContext, DkRandomLikeContextOverloadMatchesDirectRandomize) {
   const Graph original = sample_graph(5);
   RunContext ctx;
   ctx.seed = 23;
   const Graph from_ctx = gen::dk_random_like(original, 1, ctx);
 
+  gen::RandomizeOptions options;
+  options.d = 1;
   util::Rng rng = ctx.make_rng();
-  const Graph from_legacy = gen::dk_random_like(original, 1, rng);
+  const Graph direct = gen::randomize(original, options, rng);
 
-  EXPECT_TRUE(from_ctx == from_legacy);
+  EXPECT_EQ(from_ctx.edges(), direct.edges());
   EXPECT_EQ(from_ctx.num_edges(), original.num_edges());
+}
+
+TEST(RunContext, EntryPointsRejectWorkersOtherThanOne) {
+  // The speculative 3K engine is gone; a context that still asks for
+  // workers must not be silently run serially.
+  const Graph original = sample_graph(9);
+  const dk::DkDistributions target = dk::extract(original, 3);
+  RunContext ctx;
+  ctx.workers = 2;
+  gen::GenerateOptions options;
+  options.method = gen::Method::targeting;
+  for (const int d : {2, 3}) {
+    EXPECT_THROW(gen::generate_dk_random(target, d, options, ctx),
+                 std::invalid_argument)
+        << "d " << d;
+    EXPECT_THROW(gen::dk_random_like(original, d, ctx),
+                 std::invalid_argument)
+        << "d " << d;
+  }
+  EXPECT_THROW(
+      metrics::compute_scalar_metrics(original, metrics::SummaryOptions{},
+                                      ctx),
+      std::invalid_argument);
+  ctx.workers = 0;
+  EXPECT_THROW(gen::dk_random_like(original, 3, ctx), std::invalid_argument);
 }
 
 TEST(RunContext, DkRandomLikeReportsProgressOnTheCallersLane) {

@@ -40,7 +40,7 @@ import statistics
 import sys
 
 DEFAULT_FILTER = (r"RewiringStep|Target2KAttempts|Randomize2KAttempts"
-                  r"|DkStateSwap|EvaluateSwap3K|Parallel3K|Sparse2KTarget"
+                  r"|DkStateSwap|EvaluateSwap3K|Sparse2KTarget"
                   r"|StreamingExtract|FlatTableProbe|TelemetryCounter"
                   r"|DistanceDistribution|LanczosExtremes"
                   r"|ConvergenceAttemptsToEps")
